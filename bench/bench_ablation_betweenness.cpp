@@ -1,14 +1,13 @@
-// Ablation — exact (Brandes) vs sampling-approximate (Riondato-
-// Kornaropoulos) betweenness. Question from DESIGN.md: where does sampling
-// win? Expected: exact is fine (single-digit ms) at RIN sizes — which is
-// why the widget uses it — while approximation takes over for the larger
-// plotlybridge-scale graphs.
+// Ablation — exact (Brandes) vs adaptive-sampling (KADABRA) betweenness.
+// Question from DESIGN.md: where does sampling win? Expected: exact is fine
+// (single-digit ms) at RIN sizes — which is why the widget uses it — while
+// approximation takes over for the larger plotlybridge-scale graphs.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.hpp"
 
-#include "src/centrality/approx_betweenness.hpp"
 #include "src/centrality/betweenness.hpp"
+#include "src/centrality/kadabra.hpp"
 #include "src/graph/generators.hpp"
 
 namespace {
@@ -34,7 +33,7 @@ void BM_BetweennessApprox(benchmark::State& state) {
     const Graph g = testGraph(static_cast<count>(state.range(0)));
     const auto v = CsrView::fromGraph(g);
     for (auto _ : state) {
-        ApproxBetweenness b(g, 0.05, 0.1, 99);
+        KadabraBetweenness b(g, 0.05, 0.1, 99);
         benchmark::DoNotOptimize(b.run(v).data());
     }
     state.counters["edges"] = static_cast<double>(g.numberOfEdges());

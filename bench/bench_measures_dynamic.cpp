@@ -7,9 +7,6 @@
 //   - dynamic Closeness (exact level repair) and dynamic Betweenness
 //     (diff-maintained KADABRA sample set, bounds stated) vs. the exact
 //     from-scratch CSR kernels;
-//   - the honest exact-repair Betweenness row, whose global sigma cascades
-//     are why the engine's cost model routes betweenness to the sampled
-//     path (see EXPERIMENTS.md for the regime analysis);
 //   - cold sampling per frame, for the warm-vs-cold comparison.
 #include <benchmark/benchmark.h>
 
@@ -18,9 +15,7 @@
 
 #include "bench/bench_common.hpp"
 
-#include "src/centrality/approx_closeness.hpp"
 #include "src/centrality/kadabra.hpp"
-#include "src/dyn/dyn_betweenness.hpp"
 #include "src/dyn/dyn_closeness.hpp"
 #include "src/dyn/dyn_kadabra.hpp"
 #include "src/dyn/edge_batch.hpp"
@@ -47,7 +42,7 @@ const md::Trajectory& sweepTrajectory() {
         // handful of contacts flip per step (~0.1% of edges here). Default
         // parameters churn ~25% of the edge set per frame — a rebuild-sized
         // regime where every dynamic kernel loses and the engine's cost
-        // model (fallbackDiffFraction, EWMA timings) falls back to tier 1;
+        // model (diff fraction, EWMA timings) falls back to tier 1;
         // EXPERIMENTS.md records that crossover from a sigma sweep.
         gen.thermalSigma = 0.0005;
         gen.breathingAmplitude = 0.00005;
@@ -85,21 +80,13 @@ void BM_FrameSweepExact(benchmark::State& state) {
     state.counters["edges"] = static_cast<double>(rin.graph().numberOfEdges());
 }
 
-// Tier 2, exact kernels: batch-dynamic repair of stored per-source BFS
-// state from the DynamicRin edge diff. The Betweenness row is kept honest:
-// sigma cascades are global on this graph class, so exact repair loses to
-// the from-scratch kernel — the measurement that justifies routing
-// betweenness to the sampled dynamic path below.
+// Tier 2, exact kernel: batch-dynamic repair of stored per-source BFS
+// state from the DynamicRin edge diff.
 void BM_FrameSweepDynamic(benchmark::State& state) {
-    const bool closeness = state.range(0) == 0;
     rin::DynamicRin rin(sweepTrajectory(), rin::DistanceCriterion::MinimumAtomDistance,
                         kCutoff);
     dyn::DynCloseness dc;
-    dyn::DynBetweenness db;
-    if (closeness)
-        dc.init(CsrView::fromGraph(rin.graph()));
-    else
-        db.init(CsrView::fromGraph(rin.graph()));
+    dc.init(CsrView::fromGraph(rin.graph()));
 
     std::vector<double> frameMs;
     double diffEdges = 0.0, totalEdges = 0.0, sweeps = 0.0;
@@ -113,18 +100,12 @@ void BM_FrameSweepDynamic(benchmark::State& state) {
         const dyn::EdgeBatch batch{&rin.lastAdded(), &rin.lastRemoved()};
         Timer t;
         const auto v = CsrView::fromGraph(rin.graph());
-        if (closeness) {
-            dc.update(v, batch);
-            auto scores = dc.scores(/*harmonic=*/false);
-            benchmark::DoNotOptimize(scores.data());
-        } else {
-            db.update(v, batch);
-            auto scores = db.scores();
-            benchmark::DoNotOptimize(scores.data());
-        }
+        dc.update(v, batch);
+        auto scores = dc.scores(/*harmonic=*/false);
+        benchmark::DoNotOptimize(scores.data());
         frameMs.push_back(t.elapsedMs());
     }
-    state.SetLabel(closeness ? "Closeness" : "Betweenness");
+    state.SetLabel("Closeness");
     state.counters["median_ms"] = median(frameMs);
     state.counters["diff_fraction"] =
         totalEdges == 0.0 ? 0.0 : diffEdges / totalEdges;
@@ -172,13 +153,9 @@ void BM_FrameSweepDynamicSampled(benchmark::State& state) {
         totalEdges == 0.0 ? 0.0 : diffEdges / totalEdges;
 }
 
-// Tier 3, cold: sampling from scratch per frame, an (eps, delta) bound but
-// no reuse. Betweenness runs the adaptive KADABRA-style sampler at
-// eps = 0.05; Closeness runs the Eppstein-Wang pivot kernel (which at this
-// n/eps falls back to the exact sweep — reported so the JSON records why
-// the engine never routes closeness to the sampled tier at tight eps).
+// Tier 3, cold: the adaptive KADABRA-style sampler from scratch per frame
+// at eps = 0.05 — an (eps, delta) bound but no reuse.
 void BM_FrameSweepApprox(benchmark::State& state) {
-    const bool closeness = state.range(0) == 0;
     const double eps = 0.05;
     rin::DynamicRin rin(sweepTrajectory(), rin::DistanceCriterion::MinimumAtomDistance,
                         kCutoff);
@@ -189,37 +166,24 @@ void BM_FrameSweepApprox(benchmark::State& state) {
         frame = (frame + 1) % kFrames;
         rin.setFrame(frame);
         Timer t;
-        if (closeness) {
-            ApproxCloseness ac(rin.graph(), ApproxCloseness::Variant::Standard, eps,
-                               0.1, 1 + frame);
-            ac.run();
-            achievedEps += ac.achievedEpsilon();
-            samples += static_cast<double>(ac.numberOfPivots());
-            benchmark::DoNotOptimize(ac.scores().data());
-        } else {
-            KadabraBetweenness kb(rin.graph(), eps, 0.1, 1 + frame);
-            kb.run();
-            achievedEps += kb.achievedEpsilon();
-            samples += static_cast<double>(kb.numberOfSamples());
-            benchmark::DoNotOptimize(kb.scores().data());
-        }
+        KadabraBetweenness kb(rin.graph(), eps, 0.1, 1 + frame);
+        kb.run();
+        achievedEps += kb.achievedEpsilon();
+        samples += static_cast<double>(kb.numberOfSamples());
+        benchmark::DoNotOptimize(kb.scores().data());
         frameMs.push_back(t.elapsedMs());
         runs += 1.0;
     }
-    state.SetLabel(closeness ? "Closeness" : "Betweenness");
+    state.SetLabel("Betweenness");
     state.counters["median_ms"] = median(frameMs);
     state.counters["achieved_eps"] = runs == 0.0 ? 0.0 : achievedEps / runs;
     state.counters["samples"] = runs == 0.0 ? 0.0 : samples / runs;
 }
 
-void configure(benchmark::internal::Benchmark* b) {
-    b->Args({0})->Args({1});
-}
-
-BENCHMARK(BM_FrameSweepExact)->Apply(configure)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FrameSweepDynamic)->Apply(configure)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FrameSweepExact)->Args({0})->Args({1})->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FrameSweepDynamic)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FrameSweepDynamicSampled)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FrameSweepApprox)->Apply(configure)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FrameSweepApprox)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

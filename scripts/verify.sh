@@ -7,7 +7,8 @@
 #   --tsan  additionally builds the parallel kernels (centrality /
 #           community: OpenMP array reductions, batched MS-BFS, atomic
 #           local moving), the dynamic-measure kernels (test_dyn: parallel
-#           per-source level repair, array reductions over bc/cnt) plus the
+#           per-source level repair, array reductions over the KADABRA
+#           sample counts) plus the
 #           serving layer (test_serve: thread pool, session queues,
 #           coalescing) with -fsanitize=thread and runs their suites.
 #   --serve-stress  runs the multi-client serving stress suite

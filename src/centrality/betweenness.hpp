@@ -11,7 +11,7 @@ namespace rinkit {
 /// information-flow paths through the protein (Jiao & Ranganathan 2017;
 /// Stetz & Verkhivker 2017) — the second named measure in the paper's
 /// widget. O(n * m); exact computation is the right choice for RIN-sized
-/// graphs (100-1000 nodes), while ApproxBetweenness covers large inputs.
+/// graphs (100-1000 nodes), while KadabraBetweenness covers large inputs.
 class Betweenness final : public CentralityAlgorithm {
 public:
     explicit Betweenness(const Graph& g, bool normalized = false)

@@ -9,11 +9,11 @@ namespace rinkit {
 /// Adaptive-sampling approximate betweenness (KADABRA-style, after
 /// Borassi & Natale 2016).
 ///
-/// Like ApproxBetweenness (Riondato-Kornaropoulos) the estimator samples
-/// uniform random (s, t) pairs, draws one shortest s-t path uniformly at
-/// random, and credits its interior vertices — per sample each vertex's
-/// contribution is a 0/1 variable whose mean is its (pair-normalized)
-/// betweenness. Two changes make it adaptive:
+/// Like the Riondato-Kornaropoulos estimator it samples uniform random
+/// (s, t) pairs, draws one shortest s-t path uniformly at random, and
+/// credits its interior vertices — per sample each vertex's contribution is
+/// a 0/1 variable whose mean is its (pair-normalized) betweenness. Two
+/// changes make it adaptive:
 ///
 ///  - Sampling is round-based with an empirical-Bernstein stopping rule:
 ///    after each round the confidence radius
@@ -31,8 +31,9 @@ namespace rinkit {
 ///    to the partial path counts yields a uniform shortest path while
 ///    exploring a fraction of the graph per sample.
 ///
-/// Scores use the same scale as ApproxBetweenness (fraction of sampled
-/// paths), so viz::MeasureEngine can treat the two interchangeably.
+/// Scores are the fraction of sampled paths through each vertex, the same
+/// scale dyn::DynKadabra reports, so viz::MeasureEngine serves either one
+/// from its approx slot.
 class KadabraBetweenness final : public CentralityAlgorithm {
 public:
     explicit KadabraBetweenness(const Graph& g, double epsilon = 0.05,

@@ -15,7 +15,7 @@ count diameterExact(const Graph& g);
 
 /// Lower bound on the diameter via iterated double sweeps: BFS from a
 /// random node, then from the farthest node found, repeated. Cheap and
-/// usually tight on real networks; used by ApproxBetweenness to bound the
+/// usually tight on real networks; used by KadabraBetweenness to bound the
 /// vertex diameter.
 count diameterEstimate(const Graph& g, count sweeps = 4, std::uint64_t seed = 1);
 

@@ -6,8 +6,6 @@
 
 #include "src/obs/trace.hpp"
 
-#include "src/centrality/approx_betweenness.hpp"
-#include "src/centrality/approx_closeness.hpp"
 #include "src/centrality/betweenness.hpp"
 #include "src/centrality/closeness.hpp"
 #include "src/centrality/core_decomposition.hpp"
@@ -91,6 +89,10 @@ double elapsedMs(std::chrono::steady_clock::time_point t0) {
         .count();
 }
 
+/// Tier 2 falls back to recompute when the accumulated diff exceeds this
+/// fraction of the graph's edges.
+constexpr double kFallbackDiffFraction = 0.15;
+
 void feedEwma(double& ewma, double ms) {
     constexpr double kAlpha = 0.3;
     ewma = ewma < 0.0 ? ms : (1.0 - kAlpha) * ewma + kAlpha * ms;
@@ -123,7 +125,6 @@ int MeasureEngine::dynKernelFor(Measure m) {
     switch (m) {
     case Measure::Closeness:
     case Measure::HarmonicCloseness: return kDynCloseness;
-    case Measure::Betweenness: return kDynBetweenness;
     case Measure::CoreNumber: return kDynCore;
     default: return -1;
     }
@@ -132,7 +133,6 @@ int MeasureEngine::dynKernelFor(Measure m) {
 bool MeasureEngine::dynPrimed(int k) const {
     switch (k) {
     case kDynCloseness: return dynClose_.primed();
-    case kDynBetweenness: return dynBet_.primed();
     case kDynCore: return dynCore_.primed();
     case kDynKadabra: return dynKad_.primed();
     }
@@ -142,7 +142,6 @@ bool MeasureEngine::dynPrimed(int k) const {
 std::uint64_t MeasureEngine::dynVersion(int k) const {
     switch (k) {
     case kDynCloseness: return dynClose_.version();
-    case kDynBetweenness: return dynBet_.version();
     case kDynCore: return dynCore_.version();
     case kDynKadabra: return dynKad_.version();
     }
@@ -163,7 +162,7 @@ bool MeasureEngine::dynUpdateEligible(int k, const Graph& g) const {
     const double diff =
         static_cast<double>(meta.pendAdd.size() + meta.pendRem.size());
     const double edges = static_cast<double>(std::max<count>(g.numberOfEdges(), 1));
-    if (diff > opts_.fallbackDiffFraction * edges) return false;
+    if (diff > kFallbackDiffFraction * edges) return false;
     // Span-fed cost model: once updates have been observed to cost more
     // than recomputing, stop repairing until the state is re-primed.
     if (meta.ewmaDyn >= 0.0 && meta.ewmaExact >= 0.0 && meta.ewmaDyn > meta.ewmaExact)
@@ -175,7 +174,6 @@ std::vector<double> MeasureEngine::dynScores(int k, Measure m) const {
     switch (k) {
     case kDynCloseness:
         return dynClose_.scores(m == Measure::HarmonicCloseness, true);
-    case kDynBetweenness: return dynBet_.scores(true);
     case kDynCore: return dynCore_.scores();
     }
     throw std::logic_error("MeasureEngine: no dynamic kernel");
@@ -240,7 +238,6 @@ void MeasureEngine::storeExact(const Graph& g, Measure m, std::vector<double> sc
 
 void MeasureEngine::invalidateDynamic() {
     dynClose_.reset();
-    dynBet_.reset();
     dynCore_.reset();
     dynKad_.reset();
     for (auto& meta : dynMeta_) meta = DynMeta{};
@@ -260,8 +257,7 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
     // "whatever is lying around".
     const double effTol = req.degrade == DegradeLevel::None
                               ? req.tolerance
-                              : std::max(req.tolerance, opts_.degradeEpsilon);
-    const double delta = req.tolerance > 0.0 ? opts_.approxDelta : opts_.degradeDelta;
+                              : std::max(req.tolerance, kDegradeEpsilon);
 
     const size_t mi = static_cast<size_t>(m);
     Slot& ex = exact_[mi];
@@ -333,7 +329,6 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
             upd.attr("diff_edges", diffEdges);
             switch (dk) {
             case kDynCloseness: dynClose_.update(v, batch); break;
-            case kDynBetweenness: dynBet_.update(v, batch); break;
             case kDynCore: dynCore_.update(v, batch); break;
             }
         }
@@ -353,95 +348,62 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
         return finish(ex.scores);
     }
 
-    // Tier 3: sampled approximation with an explicit (epsilon, delta).
-    if (effTol > 0.0) {
-        bool ran = false;
-        const auto t0 = std::chrono::steady_clock::now();
-        if (m == Measure::Betweenness) {
-            obs::ScopedSpan apx("engine.approx");
-            apx.attr("measure", measureName(m));
-            DynMeta& meta = dynMeta_[kDynKadabra];
-            // Warm path: the maintained sample set is one small diff behind
-            // and its standing bound satisfies this request — redraw only
-            // the affected samples instead of sampling from scratch.
-            if (opts_.adaptiveSampling && dynUpdateEligible(kDynKadabra, g) &&
-                dynKad_.achievedEpsilon() <= effTol) {
-                const count diffEdges = meta.pendAdd.size() + meta.pendRem.size();
-                dyn::EdgeBatch batch{&meta.pendAdd, &meta.pendRem};
-                const auto ta = std::chrono::steady_clock::now();
-                dynKad_.update(v, batch);
-                feedEwma(meta.ewmaDyn, elapsedMs(ta));
-                meta.hasPending = false;
-                meta.pendAdd.clear();
-                meta.pendRem.clear();
-                apx.attr("diff_edges", diffEdges);
-                apx.attr("resampled", dynKad_.lastResampled());
-                ap.scores = dynKad_.scores();
-                ap.eps = dynKad_.achievedEpsilon();
-                ap.samples = dynKad_.numberOfSamples();
-                out.diffEdges = diffEdges;
-            } else if (opts_.adaptiveSampling && opts_.dynamicMeasures && n >= 2 &&
-                       n <= opts_.dynStateMaxNodes) {
-                // Cold sampling doubles as the prime of the dynamic sample
-                // state, like the exact kernels' init.
-                const auto ta = std::chrono::steady_clock::now();
-                dynKad_.init(v, effTol, delta, opts_.seed);
-                feedEwma(meta.ewmaExact, elapsedMs(ta));
-                meta.chainValid = true;
-                meta.hasPending = false;
-                meta.pendAdd.clear();
-                meta.pendRem.clear();
-                meta.n = n;
-                ap.scores = dynKad_.scores();
-                ap.eps = dynKad_.achievedEpsilon();
-                ap.samples = dynKad_.numberOfSamples();
-            } else if (opts_.adaptiveSampling) {
-                KadabraBetweenness kb(g, effTol, delta, opts_.seed);
-                kb.run(v);
-                ap.scores = kb.scores();
-                ap.eps = kb.achievedEpsilon();
-                ap.samples = kb.numberOfSamples();
-            } else {
-                ApproxBetweenness rk(g, effTol, delta, opts_.seed);
-                rk.run(v);
-                ap.scores = rk.scores();
-                ap.eps = effTol;
-                ap.samples = rk.numberOfSamples();
-            }
-            ran = true;
-        } else if (m == Measure::Closeness || m == Measure::HarmonicCloseness) {
-            // Route to pivots only when they beat the 64-wide exact
-            // MS-BFS; otherwise exact is both cheaper and better.
-            const count pivots = ApproxCloseness::pivotsFor(n, effTol, delta);
-            if (pivots * 32 < n) {
-                obs::ScopedSpan apx("engine.approx");
-                apx.attr("measure", measureName(m));
-                ApproxCloseness ac(g,
-                                   m == Measure::HarmonicCloseness
-                                       ? ApproxCloseness::Variant::Harmonic
-                                       : ApproxCloseness::Variant::Standard,
-                                   effTol, delta, opts_.seed);
-                ac.run(v);
-                ap.scores = ac.scores();
-                ap.eps = ac.achievedEpsilon();
-                ap.samples = ac.numberOfPivots();
-                ran = true;
-            }
+    // Tier 3: sampled betweenness with an explicit (epsilon, delta). Every
+    // other measure falls through to the exact tiers.
+    if (effTol > 0.0 && m == Measure::Betweenness) {
+        obs::ScopedSpan apx("engine.approx");
+        apx.attr("measure", measureName(m));
+        DynMeta& meta = dynMeta_[kDynKadabra];
+        // Warm path: the maintained sample set is one small diff behind
+        // and its standing bound satisfies this request — redraw only
+        // the affected samples instead of sampling from scratch.
+        if (dynUpdateEligible(kDynKadabra, g) && dynKad_.achievedEpsilon() <= effTol) {
+            const count diffEdges = meta.pendAdd.size() + meta.pendRem.size();
+            dyn::EdgeBatch batch{&meta.pendAdd, &meta.pendRem};
+            const auto t0 = std::chrono::steady_clock::now();
+            dynKad_.update(v, batch);
+            feedEwma(meta.ewmaDyn, elapsedMs(t0));
+            meta.hasPending = false;
+            meta.pendAdd.clear();
+            meta.pendRem.clear();
+            apx.attr("diff_edges", diffEdges);
+            apx.attr("resampled", dynKad_.lastResampled());
+            ap.scores = dynKad_.scores();
+            ap.eps = dynKad_.achievedEpsilon();
+            ap.samples = dynKad_.numberOfSamples();
+            out.diffEdges = diffEdges;
+        } else if (opts_.dynamicMeasures && n >= 2 && n <= opts_.dynStateMaxNodes) {
+            // Cold sampling doubles as the prime of the dynamic sample
+            // state, like the exact kernels' init.
+            const auto t0 = std::chrono::steady_clock::now();
+            dynKad_.init(v, effTol, kApproxDelta, opts_.seed);
+            feedEwma(meta.ewmaExact, elapsedMs(t0));
+            meta.chainValid = true;
+            meta.hasPending = false;
+            meta.pendAdd.clear();
+            meta.pendRem.clear();
+            meta.n = n;
+            ap.scores = dynKad_.scores();
+            ap.eps = dynKad_.achievedEpsilon();
+            ap.samples = dynKad_.numberOfSamples();
+        } else {
+            KadabraBetweenness kb(g, effTol, kApproxDelta, opts_.seed);
+            kb.run(v);
+            ap.scores = kb.scores();
+            ap.eps = kb.achievedEpsilon();
+            ap.samples = kb.numberOfSamples();
         }
-        if (ran) {
-            ap.delta = delta;
-            ap.version = ver;
-            ap.g = &g;
-            ap.valid = true;
-            out.tier = ResolutionTier::Approx;
-            out.cacheHit = false;
-            out.epsilon = ap.eps;
-            out.delta = ap.delta;
-            out.samples = ap.samples;
-            span.attr("approx", true);
-            (void)t0;
-            return finish(ap.scores);
-        }
+        ap.delta = kApproxDelta;
+        ap.version = ver;
+        ap.g = &g;
+        ap.valid = true;
+        out.tier = ResolutionTier::Approx;
+        out.cacheHit = false;
+        out.epsilon = ap.eps;
+        out.delta = ap.delta;
+        out.samples = ap.samples;
+        span.attr("approx", true);
+        return finish(ap.scores);
     }
 
     // Tier 1 (compute): exact recompute. For dyn-capable measures on graphs
@@ -456,7 +418,6 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
             init.attr("measure", measureName(m));
             switch (dk) {
             case kDynCloseness: dynClose_.init(v); break;
-            case kDynBetweenness: dynBet_.init(v); break;
             case kDynCore: dynCore_.init(v); break;
             }
         }
@@ -480,16 +441,6 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
     out.tier = ResolutionTier::Exact;
     out.cacheHit = false;
     return finish(ex.scores);
-}
-
-const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
-                                                 bool* cacheHit, bool degraded) {
-    Request req;
-    req.degrade = degraded ? DegradeLevel::Stale : DegradeLevel::None;
-    ResultInfo resultInfo;
-    const auto& s = scores(g, m, req, &resultInfo);
-    if (cacheHit) *cacheHit = resultInfo.cacheHit;
-    return s;
 }
 
 void MeasureEngine::reset() {

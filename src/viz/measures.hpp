@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/dyn/dyn_betweenness.hpp"
 #include "src/dyn/dyn_closeness.hpp"
 #include "src/dyn/dyn_core.hpp"
 #include "src/dyn/dyn_kadabra.hpp"
@@ -82,28 +81,26 @@ const char* tierName(ResolutionTier t);
 ///  1. *Cached exact* — switching the measure on an unchanged graph is an
 ///     O(1) lookup. Exact and approximate results live in separate slots
 ///     keyed by (measure, version, epsilon), so an exact read never serves
-///     a sampled result silently, and vice versa.
-///  2. *Dynamic update* — for Closeness / Harmonic / Betweenness / Core the
-///     engine keeps per-source BFS state (rinkit::dyn) primed by the last
-///     exact computation. When the graph moved by a small diff (fed in via
+///     a sampled result silently, and vice versa. A miss recomputes.
+///  2. *Dynamic update* — for Closeness / Harmonic / Core the engine keeps
+///     per-source BFS state (rinkit::dyn) primed by the last exact
+///     computation. When the graph moved by a small diff (fed in via
 ///     noteDiff() from DynamicRin's edge lists), the state is repaired
 ///     instead of recomputed — exact results at a fraction of the cost. A
 ///     cost model (diff fraction, node cap, EWMA of observed update vs
-///     recompute times from the obs spans) decides when repair would be
-///     slower than recomputing and falls back automatically.
+///     recompute times) decides when repair would be slower than
+///     recomputing and falls back automatically. Betweenness has no exact
+///     dynamic kernel: on small-diameter RINs its sigma cascades are
+///     global, so repair never beat Brandes.
 ///  3. *Sampled approximation* — when the caller states an error tolerance
 ///     (Request::tolerance, surfaced as RinWidgetOptions::
 ///     measureErrorTolerance) or the serving layer degrades to
-///     DegradeLevel::Approx, betweenness switches to adaptive sampling
-///     (KADABRA-style; Riondato-Kornaropoulos as the non-adaptive option)
-///     and closeness to pivot sampling — each reporting the (epsilon,
-///     delta) actually achieved in ResultInfo. The betweenness sample set
-///     itself is diff-maintained (dyn::DynKadabra): on small diffs only
-///     the sampled paths whose shortest-path DAG moved are redrawn, so a
-///     warm approx read costs a fraction of a cold sampling run. Exact
-///     dynamic betweenness repair exists too, but its sigma cascades are
-///     global on small-diameter RINs — the cost model learns that and
-///     routes betweenness to the sampled path or a recompute instead.
+///     DegradeLevel::Approx, betweenness switches to adaptive (KADABRA-
+///     style) sampling, reporting the (epsilon, delta) actually achieved in
+///     ResultInfo. The sample set itself is diff-maintained
+///     (dyn::DynKadabra): on small diffs only the sampled paths whose
+///     shortest-path DAG moved are redrawn, so a warm approx read costs a
+///     fraction of a cold sampling run. Every other measure stays exact.
 ///
 /// DegradeLevel::Stale additionally allows serving a right-sized result for
 /// an older version — the last rung of the ladder, kept from the original
@@ -115,20 +112,13 @@ public:
         bool dynamicMeasures = true;
         /// Dynamic state is O(n^2); above this node count never prime.
         count dynStateMaxNodes = 1536;
-        /// Fall back to recompute when the accumulated diff exceeds this
-        /// fraction of the graph's edges.
-        double fallbackDiffFraction = 0.15;
-        /// (epsilon, delta) used when the serving layer degrades a request
-        /// that did not state its own tolerance.
-        double degradeEpsilon = 0.1;
-        double degradeDelta = 0.1;
-        /// delta paired with caller-stated tolerances.
-        double approxDelta = 0.1;
-        /// Adaptive (KADABRA-style) betweenness sampling; false pins the
-        /// fixed-size Riondato-Kornaropoulos estimator.
-        bool adaptiveSampling = true;
         std::uint64_t seed = 1;
     };
+
+    /// Error bound a degraded request gets when it stated no tolerance.
+    static constexpr double kDegradeEpsilon = 0.1;
+    /// Failure probability of every sampled result's bound.
+    static constexpr double kApproxDelta = 0.1;
 
     /// What the caller is willing to accept for this read.
     struct Request {
@@ -144,7 +134,7 @@ public:
         ResolutionTier tier = ResolutionTier::Exact;
         double epsilon = 0.0; ///< achieved additive error bound (0 = exact)
         double delta = 0.0;   ///< failure probability of that bound
-        count samples = 0;    ///< samples/pivots drawn (0 for exact tiers)
+        count samples = 0;    ///< samples drawn (0 for exact tiers)
         bool cacheHit = false;
         count diffEdges = 0;  ///< diff size consumed by a Dynamic update
     };
@@ -156,12 +146,6 @@ public:
     /// the resolution tier and achieved bounds.
     const std::vector<double>& scores(const Graph& g, Measure m, const Request& req,
                                       ResultInfo* info = nullptr);
-
-    /// Legacy entry: exact read, or (degraded) the stale-first ladder the
-    /// serving layer used before DegradeLevel existed.
-    const std::vector<double>& scores(const Graph& g, Measure m,
-                                      bool* cacheHit = nullptr,
-                                      bool degraded = false);
 
     /// Installs an externally computed *exact* result for @p m at @p g's
     /// current version into the exact cache slot — the speculative
@@ -217,11 +201,10 @@ private:
     /// with an (epsilon, delta) bound instead of exactness.
     enum DynKernel {
         kDynCloseness = 0,
-        kDynBetweenness = 1,
-        kDynCore = 2,
-        kDynKadabra = 3,
+        kDynCore = 1,
+        kDynKadabra = 2,
     };
-    static constexpr int kNumDynKernels = 4;
+    static constexpr int kNumDynKernels = 3;
 
     /// Dynamic kernel index for @p m, or -1 when it has none.
     static int dynKernelFor(Measure m);
@@ -243,7 +226,6 @@ private:
     std::array<Slot, kNumMeasures> approx_{};
 
     dyn::DynCloseness dynClose_;
-    dyn::DynBetweenness dynBet_;
     dyn::DynCoreDecomposition dynCore_;
     dyn::DynKadabra dynKad_;
     std::array<DynMeta, kNumDynKernels> dynMeta_{};

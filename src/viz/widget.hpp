@@ -60,9 +60,9 @@ struct RinWidgetOptions {
     /// wire::DeltaEncoderOptions::keyframeInterval).
     count wireKeyframeInterval = 64;
     /// Additive error the measure engine may trade for latency (0 demands
-    /// exact results). With a positive tolerance, heavy measures switch to
-    /// sampling (adaptive betweenness, pivot closeness) whose achieved
-    /// (epsilon, delta) is reported in UpdateTiming.
+    /// exact results). With a positive tolerance, betweenness switches to
+    /// adaptive sampling whose achieved (epsilon, delta) is reported in
+    /// UpdateTiming.
     double measureErrorTolerance = 0.0;
     /// Diff-driven dynamic measure updates (MeasureEngine tier 2): keep
     /// per-source BFS state and repair it from DynamicRin's edge diffs
@@ -123,7 +123,7 @@ public:
                                                             ///< were produced
         double measureEps = 0.0;    ///< achieved additive error (0 = exact)
         double measureDelta = 0.0;  ///< failure probability of that bound
-        count measureSamples = 0;   ///< samples/pivots drawn (approx tier)
+        count measureSamples = 0;   ///< samples drawn (approx tier)
         count measureDiffEdges = 0; ///< diff consumed by a dynamic update
         bool specJudged = false; ///< a pending speculation was judged by
                                  ///< this event (hit or miss)
@@ -216,11 +216,6 @@ public:
     void setDegradeLevel(DegradeLevel level) { degradeLevel_ = level; }
     DegradeLevel degradeLevel() const { return degradeLevel_; }
 
-    /// Legacy boolean degrade toggle: maps to the ladder's last rung
-    /// (Stale), the pre-ladder behavior.
-    void setDegraded(bool enabled) {
-        degradeLevel_ = enabled ? DegradeLevel::Stale : DegradeLevel::None;
-    }
     bool degraded() const { return degradeLevel_ != DegradeLevel::None; }
 
     // -- state ------------------------------------------------------------

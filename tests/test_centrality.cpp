@@ -5,12 +5,12 @@
 
 #include <cmath>
 
-#include "src/centrality/approx_betweenness.hpp"
 #include "src/centrality/betweenness.hpp"
 #include "src/centrality/closeness.hpp"
 #include "src/centrality/core_decomposition.hpp"
 #include "src/centrality/degree.hpp"
 #include "src/centrality/eigenvector.hpp"
+#include "src/centrality/kadabra.hpp"
 #include "src/centrality/pagerank.hpp"
 #include "src/graph/generators.hpp"
 
@@ -169,31 +169,16 @@ TEST(Betweenness, DisconnectedGraph) {
     EXPECT_DOUBLE_EQ(b.score(0), 0.0);
 }
 
-TEST(ApproxBetweenness, CloseToExactNormalized) {
+TEST(KadabraBetweenness, InvalidParametersThrow) {
     const auto g = generators::karateClub();
-    Betweenness exact(g, true);
-    exact.run();
-    ApproxBetweenness approx(g, 0.03, 0.05, 42);
-    approx.run();
-    EXPECT_GT(approx.numberOfSamples(), 100u);
-    // RK guarantee: |approx - exact_normalized_by_pairs| <= eps w.h.p.
-    // Our normalized exact divides by (n-1)(n-2)/2 which equals the number
-    // of (unordered) pairs not containing u.
-    for (node u = 0; u < 34; ++u) {
-        EXPECT_NEAR(approx.score(u), exact.score(u), 0.05) << "node " << u;
-    }
+    EXPECT_THROW(KadabraBetweenness(g, 0.0, 0.1), std::invalid_argument);
+    EXPECT_THROW(KadabraBetweenness(g, 1.5, 0.1), std::invalid_argument);
+    EXPECT_THROW(KadabraBetweenness(g, 0.1, 0.0), std::invalid_argument);
 }
 
-TEST(ApproxBetweenness, InvalidParametersThrow) {
-    const auto g = generators::karateClub();
-    EXPECT_THROW(ApproxBetweenness(g, 0.0, 0.1), std::invalid_argument);
-    EXPECT_THROW(ApproxBetweenness(g, 1.5, 0.1), std::invalid_argument);
-    EXPECT_THROW(ApproxBetweenness(g, 0.1, 0.0), std::invalid_argument);
-}
-
-TEST(ApproxBetweenness, TinyGraphIsZero) {
+TEST(KadabraBetweenness, TinyGraphIsZero) {
     const auto g = pathGraph(2);
-    ApproxBetweenness a(g, 0.1, 0.1);
+    KadabraBetweenness a(g, 0.1, 0.1);
     a.run();
     EXPECT_DOUBLE_EQ(a.score(0), 0.0);
     EXPECT_DOUBLE_EQ(a.score(1), 0.0);

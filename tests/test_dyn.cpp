@@ -1,7 +1,7 @@
 // Property tests for the dynamic/approximate measure layer: every dynamic
 // kernel is driven through random diff sequences and compared against its
 // from-scratch counterpart at the accuracy contract DESIGN.md documents
-// (integer-valued state bit-equal, floating accumulations at 1e-9/1e-7),
+// (integer-valued state bit-equal, harmonic accumulation at 1e-9),
 // the sampling kernels are checked against their stated error bounds, and
 // the MeasureEngine's three-tier resolution (cache keying, dynamic
 // updates, approximation under tolerance/degrade) is exercised directly.
@@ -13,16 +13,12 @@
 #include <utility>
 #include <vector>
 
-#include "src/centrality/approx_closeness.hpp"
 #include "src/centrality/betweenness.hpp"
 #include "src/centrality/closeness.hpp"
 #include "src/centrality/core_decomposition.hpp"
 #include "src/centrality/kadabra.hpp"
-#include "src/components/connected_components.hpp"
-#include "src/dyn/dyn_betweenness.hpp"
 #include "src/dyn/dyn_bfs.hpp"
 #include "src/dyn/dyn_closeness.hpp"
-#include "src/dyn/dyn_components.hpp"
 #include "src/dyn/dyn_core.hpp"
 #include "src/dyn/dyn_kadabra.hpp"
 #include "src/dyn/edge_batch.hpp"
@@ -168,51 +164,6 @@ TEST(DynCloseness, TracksFromScratchOverRandomDiffs) {
     }
 }
 
-TEST(DynBetweenness, TracksFromScratchOverRandomDiffs) {
-    Graph g = generators::erdosRenyi(80, 0.07, 5);
-    dyn::DynBetweenness db;
-    db.init(CsrView::fromGraph(g));
-    ASSERT_TRUE(db.primed());
-
-    // Freshly primed state must already agree with exact Brandes.
-    {
-        Betweenness exact(g, true);
-        exact.run();
-        EXPECT_LT(maxAbsDiff(db.scores(), exact.scores()), 1e-12);
-    }
-
-    Rng rng(13);
-    for (int round = 0; round < 8; ++round) {
-        std::vector<std::pair<node, node>> added, removed;
-        mutate(g, rng, 3, 3, added, removed);
-        db.update(CsrView::fromGraph(g), EdgeBatch{&added, &removed});
-
-        Betweenness exact(g, true);
-        exact.run();
-        EXPECT_LT(maxAbsDiff(db.scores(), exact.scores()), 1e-7) << "round " << round;
-    }
-}
-
-TEST(DynConnectedComponents, BitEqualOverRandomDiffs) {
-    // Sparse enough that deletions actually split components.
-    Graph g = generators::erdosRenyi(100, 0.03, 21);
-    dyn::DynConnectedComponents dcc;
-    dcc.init(CsrView::fromGraph(g));
-
-    Rng rng(3);
-    for (int round = 0; round < 12; ++round) {
-        std::vector<std::pair<node, node>> added, removed;
-        mutate(g, rng, 4, 3, added, removed);
-        dcc.update(CsrView::fromGraph(g), EdgeBatch{&added, &removed});
-
-        ConnectedComponents cc(g);
-        cc.run();
-        ASSERT_EQ(dcc.numberOfComponents(), cc.numberOfComponents()) << "round " << round;
-        for (node u = 0; u < g.numberOfNodes(); ++u)
-            ASSERT_EQ(dcc.componentOf(u), cc.componentOf(u)) << "round " << round;
-    }
-}
-
 TEST(DynCoreDecomposition, BitEqualOverRandomDiffs) {
     Graph g = generators::erdosRenyi(100, 0.06, 17);
     dyn::DynCoreDecomposition dk;
@@ -230,38 +181,6 @@ TEST(DynCoreDecomposition, BitEqualOverRandomDiffs) {
             ASSERT_EQ(dk.coreOf(u), static_cast<count>(cd.score(u))) << "round " << round;
         EXPECT_EQ(dk.maxCore(), cd.maxCore());
     }
-}
-
-TEST(ApproxCloseness, ExactFallbackWhenPivotsCoverGraph) {
-    // Small n at tight eps: the pivot count exceeds n, so the kernel falls
-    // back to the exact sweep and must be bit-equal to ClosenessCentrality.
-    const auto g = generators::karateClub();
-    ApproxCloseness ac(g, ApproxCloseness::Variant::Harmonic, 0.1, 0.1, 1);
-    ac.run();
-    EXPECT_TRUE(ac.exactFallback());
-    EXPECT_DOUBLE_EQ(ac.achievedEpsilon(), 0.0);
-
-    ClosenessCentrality exact(g, ClosenessCentrality::Variant::Harmonic, true);
-    exact.run();
-    for (node u = 0; u < g.numberOfNodes(); ++u)
-        EXPECT_DOUBLE_EQ(ac.score(u), exact.score(u));
-}
-
-TEST(ApproxCloseness, PivotEstimateWithinStatedBound) {
-    // Large n at loose eps actually samples. The Hoeffding bound holds
-    // per-node with probability 1-delta; a fixed seed keeps this stable.
-    const auto g = generators::erdosRenyi(400, 0.02, 7);
-    const double eps = 0.45;
-    ApproxCloseness ac(g, ApproxCloseness::Variant::Harmonic, eps, 0.1, 3);
-    ac.run();
-    EXPECT_FALSE(ac.exactFallback());
-    EXPECT_GT(ac.numberOfPivots(), 0u);
-    EXPECT_LT(ac.numberOfPivots(), g.numberOfNodes());
-    EXPECT_LE(ac.achievedEpsilon(), eps);
-
-    ClosenessCentrality exact(g, ClosenessCentrality::Variant::Harmonic, true);
-    exact.run();
-    EXPECT_LE(maxAbsDiff(ac.scores(), exact.scores()), eps);
 }
 
 TEST(KadabraBetweenness, WithinBoundOfExactOnKarate) {
@@ -429,7 +348,7 @@ TEST(MeasureEngine, DynamicTierTracksDiffAndMatchesFromScratch) {
     viz::MeasureEngine::Request exact;
     viz::MeasureEngine::ResultInfo info;
 
-    eng.scores(g, viz::Measure::Betweenness, exact, &info); // primes dyn state
+    eng.scores(g, viz::Measure::Closeness, exact, &info); // primes dyn state
     EXPECT_EQ(info.tier, viz::ResolutionTier::Exact);
 
     const auto edges = allEdges(g);
@@ -439,17 +358,41 @@ TEST(MeasureEngine, DynamicTierTracksDiffAndMatchesFromScratch) {
     g.removeEdge(edges.front().first, edges.front().second);
     eng.noteDiff(g, preVersion, {}, removed);
 
-    const auto scores = eng.scores(g, viz::Measure::Betweenness, exact, &info);
+    const auto scores = eng.scores(g, viz::Measure::Closeness, exact, &info);
     EXPECT_EQ(info.tier, viz::ResolutionTier::Dynamic);
     EXPECT_EQ(info.diffEdges, 1u);
 
+    // Standard closeness sums integer distances: repair is bit-equal.
     const auto view = CsrView::fromGraph(g);
-    const auto fresh = viz::computeMeasure(g, view, viz::Measure::Betweenness);
-    EXPECT_LT(maxAbsDiff(scores, fresh), 1e-7);
+    EXPECT_EQ(scores, viz::computeMeasure(g, view, viz::Measure::Closeness));
 
     // A second read of the same version serves the repaired state cheaply.
-    eng.scores(g, viz::Measure::Betweenness, exact, &info);
+    eng.scores(g, viz::Measure::Closeness, exact, &info);
     EXPECT_TRUE(info.cacheHit);
+}
+
+TEST(MeasureEngine, ExactBetweennessIsBitEqualToComputeMeasure) {
+    // Betweenness has no exact dynamic kernel: under the state cap, and
+    // after a noteDiff'd mutation, an exact read is a plain recompute.
+    // n < 64 keeps Brandes on one thread, so two runs sum in one order.
+    Graph g = generators::erdosRenyi(60, 0.08, 3);
+    ASSERT_LE(g.numberOfNodes(), viz::MeasureEngine::Options{}.dynStateMaxNodes);
+    viz::MeasureEngine eng;
+    viz::MeasureEngine::Request exact;
+    viz::MeasureEngine::ResultInfo info;
+
+    const auto first = eng.scores(g, viz::Measure::Betweenness, exact, &info);
+    EXPECT_EQ(info.tier, viz::ResolutionTier::Exact);
+    EXPECT_EQ(first, viz::computeMeasure(g, CsrView::fromGraph(g), viz::Measure::Betweenness));
+
+    Rng rng(5);
+    std::vector<std::pair<node, node>> added, removed;
+    const std::uint64_t preVersion = g.version();
+    mutate(g, rng, 2, 2, added, removed);
+    eng.noteDiff(g, preVersion, added, removed);
+    const auto second = eng.scores(g, viz::Measure::Betweenness, exact, &info);
+    EXPECT_EQ(info.tier, viz::ResolutionTier::Exact);
+    EXPECT_EQ(second, viz::computeMeasure(g, CsrView::fromGraph(g), viz::Measure::Betweenness));
 }
 
 TEST(MeasureEngine, VersionGapFallsBackToExactRecompute) {
@@ -503,13 +446,14 @@ TEST(MeasureEngine, ApproxDegradeAppliesFloorTolerance) {
     viz::MeasureEngine::ResultInfo info;
 
     // No caller tolerance, but the serving ladder degraded to Approx: the
-    // engine applies its degradeEpsilon floor and reports the bound.
+    // engine applies its kDegradeEpsilon floor and reports the bound.
     viz::MeasureEngine::Request req;
     req.degrade = viz::DegradeLevel::Approx;
     eng.scores(g, viz::Measure::Betweenness, req, &info);
     EXPECT_EQ(info.tier, viz::ResolutionTier::Approx);
     EXPECT_GT(info.epsilon, 0.0);
-    EXPECT_LE(info.epsilon, eng.options().degradeEpsilon);
+    EXPECT_LE(info.epsilon, viz::MeasureEngine::kDegradeEpsilon);
+    EXPECT_DOUBLE_EQ(info.delta, viz::MeasureEngine::kApproxDelta);
 }
 
 TEST(MeasureEngine, WarmApproxMaintainsSampleStateAcrossDiffs) {

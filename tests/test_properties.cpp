@@ -7,12 +7,12 @@
 
 #include <set>
 
-#include "src/centrality/approx_betweenness.hpp"
 #include "src/centrality/betweenness.hpp"
 #include "src/centrality/closeness.hpp"
 #include "src/centrality/core_decomposition.hpp"
 #include "src/centrality/degree.hpp"
 #include "src/centrality/eigenvector.hpp"
+#include "src/centrality/kadabra.hpp"
 #include "src/centrality/local_clustering.hpp"
 #include "src/centrality/pagerank.hpp"
 #include "src/community/leiden.hpp"
@@ -333,8 +333,8 @@ TEST_P(KernelEquivalenceP, OwnedAndBorrowedSnapshotsScoreIdentically) {
     expectOwnedEqualsBorrowed<ClosenessCentrality>(
         g, v, "Harmonic", ClosenessCentrality::Variant::Harmonic);
     expectOwnedEqualsBorrowed<Betweenness>(g, v, "Betweenness", true);
-    expectOwnedEqualsBorrowed<ApproxBetweenness>(g, v, "ApproxBetweenness", 0.1,
-                                                 0.1, std::uint64_t{7});
+    expectOwnedEqualsBorrowed<KadabraBetweenness>(g, v, "KadabraBetweenness", 0.1,
+                                                  0.1, std::uint64_t{7});
     expectOwnedEqualsBorrowed<PageRank>(g, v, "PageRank");
     expectOwnedEqualsBorrowed<EigenvectorCentrality>(g, v, "Eigenvector");
     expectOwnedEqualsBorrowed<KatzCentrality>(g, v, "Katz");

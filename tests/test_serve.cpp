@@ -357,7 +357,7 @@ TEST(SessionService, LadderEscalatesApproxThenStale) {
 
     // FIFO pops while the setFrame executes: setCutoff sees 2 waiters
     // behind (Stale), setMeasure(Betweenness) sees 1 (Approx -> the engine
-    // samples with its degradeEpsilon floor), refresh sees 0 (exact).
+    // samples with its kDegradeEpsilon floor), refresh sees 0 (exact).
     std::vector<std::future<RequestOutcome>> futures;
     futures.push_back(service.submit(id, SliderEvent::setFrame(1)));
     futures.push_back(service.submit(id, SliderEvent::setCutoff(5.0)));

@@ -151,10 +151,13 @@ void expectTwinsAgree(const RinWidget& spec, const RinWidget& plain) {
     EXPECT_EQ(spec.figureJson(), plain.figureJson());
 }
 
-TEST(WidgetSpeculation, MonotoneCutoffSweepHitsAndMatchesPlainPath) {
-    const auto traj = smallTrajectory();
+// Monotone cutoff drag over @p traj showing @p measure, speculating before
+// every tick on one twin.
+void expectCutoffSweepHitsAndMatchesPlainPath(const md::Trajectory& traj,
+                                              viz::Measure measure) {
     RinWidget::Options o;
     o.speculate = true;
+    o.initialMeasure = measure;
     RinWidget spec(traj, o);
     RinWidget plain(traj, o); // same options; plain just never speculates
 
@@ -173,6 +176,21 @@ TEST(WidgetSpeculation, MonotoneCutoffSweepHitsAndMatchesPlainPath) {
     // The first tick has no direction to extrapolate; every later tick of
     // a monotone drag is predictable.
     EXPECT_GE(hits, 4u);
+}
+
+TEST(WidgetSpeculation, MonotoneCutoffSweepHitsAndMatchesPlainPath) {
+    expectCutoffSweepHitsAndMatchesPlainPath(smallTrajectory(), viz::Measure::Closeness);
+}
+
+TEST(WidgetSpeculation, MonotoneCutoffSweepHitsAndMatchesPlainPathBetweenness) {
+    // A hit installs computeMeasure scores; a miss serves the engine's.
+    // Both must be the same bits. Villin (35 residues) keeps Brandes on one
+    // thread, so two exact runs sum in the same order.
+    md::TrajectoryGenerator::Parameters params;
+    params.frames = 2;
+    expectCutoffSweepHitsAndMatchesPlainPath(
+        md::TrajectoryGenerator(params).generate(md::villinHeadpiece()),
+        viz::Measure::Betweenness);
 }
 
 TEST(WidgetSpeculation, MonotoneFrameSweepHitsAndMatchesPlainPath) {
