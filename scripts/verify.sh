@@ -37,10 +37,11 @@
 #           ASan/UBSan, then a release smoke run of bench_measures_dynamic.
 #   --cluster  runs the replicated-serving suite (ctest label cluster:
 #           hash-ring stability, autoscaler hysteresis, scale-down
-#           migration with concurrent submitters) under both TSan — the
-#           routing-lock/extract/adopt protocol is concurrency code — and
-#           ASan/UBSan, then a release smoke run of the open-loop cluster
-#           scaling benchmark (bench_cluster_scaling).
+#           migration with concurrent submitters, live load-generator
+#           runs) under both TSan — the routing-lock/extract/adopt protocol
+#           is concurrency code — and ASan/UBSan, then a release smoke run
+#           of one live point of the open-loop cluster scaling benchmark
+#           (bench_cluster_scaling: 2 replicas at 50 req/s for 3 s).
 #   --wire  runs the binary wire-protocol suite (ctest label wire:
 #           truncation sweep, byte-flip corruption fuzz, delta bit-identity)
 #           plus the widget suite under ASan/UBSan — the decoder parses
@@ -202,8 +203,7 @@ if [[ "${1:-}" == "--cluster" ]]; then
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
     cmake --build build-release -j --target bench_cluster_scaling
     ./build-release/bench/bench_cluster_scaling \
-        --benchmark_filter='BM_Cluster(FlashAutoscale|RealOpenLoop)' \
-        --benchmark_min_time=0.05
+        --benchmark_filter='BM_ClusterShedCurve/replicas:2/rate:50/'
     echo "== cluster OK =="
     exit 0
 fi

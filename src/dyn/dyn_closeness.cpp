@@ -13,7 +13,6 @@ void DynCloseness::init(const CsrView& v) {
     sumDist_.assign(n_, 0.0);
     sumInv_.assign(n_, 0.0);
     reached_.assign(n_, 0);
-    lastChanged_ = 0;
     primed_ = true;
     if (n_ == 0) return;
 
@@ -45,12 +44,10 @@ void DynCloseness::init(const CsrView& v) {
 }
 
 void DynCloseness::update(const CsrView& v, const EdgeBatch& batch) {
-    lastChanged_ = 0;
     version_ = v.version();
     if (n_ == 0 || batch.size() == 0) return;
-    count totalChanged = 0;
 
-#pragma omp parallel reduction(+ : totalChanged)
+#pragma omp parallel
     {
         LevelRepairer repairer;
         std::vector<LevelChange> changes;
@@ -77,10 +74,8 @@ void DynCloseness::update(const CsrView& v, const EdgeBatch& batch) {
             sumDist_[s] = sd;
             sumInv_[s] = sInv;
             reached_[s] = r;
-            totalChanged += changes.size();
         }
     }
-    lastChanged_ = totalChanged;
 }
 
 std::vector<double> DynCloseness::scores(bool harmonic, bool normalized) const {

@@ -39,16 +39,12 @@ public:
     /// composite for Standard, sum of reciprocals for Harmonic).
     std::vector<double> scores(bool harmonic, bool normalized = true) const;
 
-    /// Distance entries changed by the last update (cost-model feedback).
-    count lastChanged() const { return lastChanged_; }
-
     void reset();
 
 private:
     count n_ = 0;
     std::uint64_t version_ = 0;
     bool primed_ = false;
-    count lastChanged_ = 0;
     std::vector<std::uint16_t> lvl_;  ///< n x n, row per source
     std::vector<double> sumDist_;     ///< per source, integer-valued
     std::vector<double> sumInv_;      ///< per source

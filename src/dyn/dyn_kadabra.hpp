@@ -57,8 +57,6 @@ public:
     bool primed() const { return primed_; }
     std::uint64_t version() const { return version_; }
     count numberOfNodes() const { return n_; }
-    double epsilon() const { return eps_; }
-    double delta() const { return delta_; }
 
     /// Applies @p batch (diff to exactly @p v's edge set): repairs the
     /// level rows, flags the samples whose shortest-path DAG moved, and

@@ -54,7 +54,7 @@ struct BurnWindowSpec {
 };
 
 /// SLO engine configuration. Real deployments keep timeScale = 1 and the
-/// SRE-standard windows; benches and virtual-time simulations compress
+/// SRE-standard windows; benches and tests compress
 /// them (timeScale = run seconds / 7200 maps the fast pair's 1 h long
 /// window onto half the run) so multi-window alerting is exercised in
 /// seconds instead of days.
@@ -117,11 +117,10 @@ struct SloObjectiveStatus {
 /// (SessionService::setMinimumDegradeLevel while the latency budget
 /// burns).
 ///
-/// Time is explicit (seconds, caller-defined epoch): real-time callers
-/// pass Tracer::nowUs()/1e6 via the clock-free overloads; virtual-time
-/// simulations pass their own clock, which is what makes the bench runs
-/// deterministic. Thread-safe; one engine is shared by every replica of a
-/// deployment.
+/// Time is explicit (seconds, caller-defined epoch): the serving path uses
+/// the clock-free overloads, which read Tracer::nowUs()/1e6; tests pass
+/// their own clock to step through windows deterministically. Thread-safe;
+/// one engine is shared by every replica of a deployment.
 class SloEngine {
 public:
     explicit SloEngine(SloConfig config = {});

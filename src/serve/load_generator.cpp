@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <deque>
-#include <limits>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -108,6 +105,18 @@ SliderEvent sampleEvent(Rng& rng, const LoadGenOptions& o) {
     return SliderEvent::refresh(o.deadlineMs);
 }
 
+// MonotoneDrag walk: per-event probabilities of a direction reversal, of
+// switching to the other slider, and of an interleaved measure flip; the
+// cutoff slider's tick grid.
+constexpr double kDragReversalProb = 0.08;
+constexpr double kDragSwitchProb = 0.05;
+constexpr double kDragMeasureProb = 0.04;
+constexpr double kDragCutoffMin = 4.0;
+constexpr double kDragCutoffMax = 7.5;
+constexpr double kDragCutoffStep = 0.1;
+constexpr auto kDragMaxCutoffTick =
+    static_cast<std::int64_t>((kDragCutoffMax - kDragCutoffMin) / kDragCutoffStep);
+
 /// Per-session state of a MonotoneDrag walk.
 struct DragState {
     bool onCutoff = false;     ///< which slider the user is dragging
@@ -120,22 +129,20 @@ struct DragState {
 /// current slider by one step, reflect at the range bounds, occasionally
 /// reverse, switch sliders, or flip the measure.
 SliderEvent sampleDragEvent(Rng& rng, const LoadGenOptions& o, DragState& st) {
-    if (rng.real01() < o.dragMeasureProb)
+    if (rng.real01() < kDragMeasureProb)
         return SliderEvent::setMeasure(
             rng.chance(0.5) ? viz::Measure::Degree : viz::Measure::Closeness, o.deadlineMs);
-    if (rng.real01() < o.dragSwitchProb) st.onCutoff = !st.onCutoff;
-    if (rng.real01() < o.dragReversalProb) st.dir = -st.dir;
+    if (rng.real01() < kDragSwitchProb) st.onCutoff = !st.onCutoff;
+    if (rng.real01() < kDragReversalProb) st.dir = -st.dir;
     if (st.onCutoff) {
-        const auto maxTick = static_cast<std::int64_t>(
-            std::max(0.0, (o.dragCutoffMax - o.dragCutoffMin) / o.dragCutoffStep));
         std::int64_t next = st.cutoffTick + st.dir;
-        if (next < 0 || next > maxTick) {
+        if (next < 0 || next > kDragMaxCutoffTick) {
             st.dir = -st.dir;
             next = st.cutoffTick + st.dir;
         }
-        st.cutoffTick = std::clamp<std::int64_t>(next, 0, maxTick);
+        st.cutoffTick = std::clamp<std::int64_t>(next, 0, kDragMaxCutoffTick);
         return SliderEvent::setCutoff(
-            o.dragCutoffMin + o.dragCutoffStep * static_cast<double>(st.cutoffTick),
+            kDragCutoffMin + kDragCutoffStep * static_cast<double>(st.cutoffTick),
             o.deadlineMs);
     }
     const auto maxFrame = static_cast<std::int64_t>(std::max<count>(1, o.frames)) - 1;
@@ -152,13 +159,12 @@ SliderEvent sampleDragEvent(Rng& rng, const LoadGenOptions& o, DragState& st) {
 /// and directions so a fleet of draggers does not move in lockstep.
 std::vector<DragState> initialDragStates(Rng& rng, const LoadGenOptions& o) {
     std::vector<DragState> drags(o.sessions);
-    const auto maxTick = static_cast<std::int64_t>(
-        std::max(0.0, (o.dragCutoffMax - o.dragCutoffMin) / o.dragCutoffStep));
     for (auto& st : drags) {
         st.onCutoff = rng.chance(0.5);
         st.dir = rng.chance(0.5) ? 1 : -1;
         st.frame = static_cast<std::int64_t>(rng.pick(std::max<count>(1, o.frames)));
-        st.cutoffTick = static_cast<std::int64_t>(rng.pick(static_cast<count>(maxTick + 1)));
+        st.cutoffTick =
+            static_cast<std::int64_t>(rng.pick(static_cast<count>(kDragMaxCutoffTick + 1)));
     }
     return drags;
 }
@@ -188,15 +194,30 @@ LoadReport LoadGenerator::run(ServiceEndpoint& endpoint, const md::Trajectory& t
                                                 "user-" + std::to_string(i)));
     std::vector<DragState> drags = initialDragStates(rng, o);
 
+    // The current window of the windowed trace: what was harvested since
+    // the previous tick.
+    LatencyHistogram windowHist;
+    count windowHarvested = 0;
+    count windowShed = 0;
+    bool overloadOpen = false;
+    count replicasSeen = endpoint.replicaCount();
+
     std::vector<std::future<RequestOutcome>> pending;
     const auto harvestOne = [&](RequestOutcome outcome) {
+        ++windowHarvested;
         if (outcome.accepted()) {
             ++rep.completed;
-            if (outcome.degraded()) ++rep.degraded;
+            if (outcome.degraded()) {
+                ++rep.degraded;
+                ++windowShed;
+            }
             if (outcome.deadlineMissed) ++rep.deadlineMissed;
-            hist.record(outcome.queueMs + outcome.timing.totalMs());
+            const double latencyMs = outcome.queueMs + outcome.timing.totalMs();
+            hist.record(latencyMs);
+            windowHist.record(latencyMs);
         } else {
             ++rep.rejected;
+            ++windowShed;
         }
     };
     const auto harvestReady = [&] {
@@ -208,6 +229,25 @@ LoadReport LoadGenerator::run(ServiceEndpoint& endpoint, const md::Trajectory& t
                 *writeIt++ = std::move(f);
         }
         pending.erase(writeIt, pending.end());
+    };
+    // Judges a window that harvested at least one completion against the
+    // deadline, then starts the next one.
+    const auto closeWindow = [&](double tSec) {
+        if (windowHist.samples() > 0) {
+            rep.endWindowP99Ms = windowHist.percentile(99.0);
+            rep.endWindowShedRate =
+                static_cast<double>(windowShed) / static_cast<double>(windowHarvested);
+            if (o.deadlineMs > 0.0 && rep.endWindowP99Ms > o.deadlineMs) {
+                rep.overloaded = true;
+                overloadOpen = true;
+            } else if (overloadOpen) {
+                rep.recoveredAtSec = tSec;
+                overloadOpen = false;
+            }
+        }
+        windowHist = LatencyHistogram{};
+        windowHarvested = 0;
+        windowShed = 0;
     };
 
     Timer clock;
@@ -231,8 +271,13 @@ LoadReport LoadGenerator::run(ServiceEndpoint& endpoint, const md::Trajectory& t
             sleepUntil(nextTick);
             if (onTick) onTick(nextTick);
             if (slo) observeSloTick(rep, *slo, slo->evaluate());
-            rep.replicasMax = std::max(rep.replicasMax, endpoint.replicaCount());
+            const count replicas = endpoint.replicaCount();
+            if (replicas > replicasSeen) rep.scaleUps += replicas - replicasSeen;
+            if (replicas < replicasSeen) rep.scaleDowns += replicasSeen - replicas;
+            replicasSeen = replicas;
+            rep.replicasMax = std::max(rep.replicasMax, replicas);
             harvestReady();
+            closeWindow(nextTick);
             nextTick += o.tickIntervalSec;
             continue;
         }
@@ -271,296 +316,6 @@ LoadReport LoadGenerator::run(ServiceEndpoint& endpoint, const md::Trajectory& t
     if (sampler) rep.tracesRetained = sampler->stats().retainedTotal() - retainedBefore;
 
     for (const SessionId id : sessions) endpoint.closeSession(id);
-    return rep;
-}
-
-// -- virtual-time cluster simulation ------------------------------------------
-
-namespace {
-
-struct SimSlot {
-    SliderEvent::Kind kind = SliderEvent::Kind::Refresh;
-    double arrivalSec = 0.0; ///< oldest waiter's arrival (Timer semantics)
-    count waiters = 1;
-};
-
-struct SimSession {
-    count replica = 0;
-    std::string key;
-    std::deque<SimSlot> queue;
-    bool busy = false;
-    bool waiting = false; ///< parked in its replica's ready FIFO
-};
-
-struct SimReplica {
-    count busyWorkers = 0;
-    std::deque<count> ready; ///< sessions with work awaiting a worker
-};
-
-struct Departure {
-    double timeSec = 0.0;
-    count session = 0;
-    count replica = 0; ///< replica whose worker this occupies
-    double waitMs = 0.0;
-    double serviceMs = 0.0;
-    count waiters = 1;
-    bool degraded = false;
-    bool deadlineMissed = false;
-
-    bool operator>(const Departure& o) const { return timeSec > o.timeSec; }
-};
-
-} // namespace
-
-LoadReport LoadGenerator::simulateCluster(const SimServiceModel& model,
-                                          const SimOptions& sim) const {
-    const LoadGenOptions& o = options_;
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    Rng rng(o.seed);
-    LoadReport rep;
-    LatencyHistogram hist;
-
-    ConsistentHashRing ring(sim.vnodesPerReplica);
-    std::map<count, SimReplica> replicas;
-    count nextReplicaId = 0;
-    for (count r = 0; r < std::max<count>(1, sim.initialReplicas); ++r) {
-        ring.add(nextReplicaId);
-        replicas[nextReplicaId];
-        ++nextReplicaId;
-    }
-
-    std::vector<SimSession> sessions(o.sessions);
-    for (count i = 0; i < o.sessions; ++i) {
-        sessions[i].key = "user-" + std::to_string(i);
-        sessions[i].replica = ring.route(sessions[i].key);
-    }
-    std::vector<DragState> drags = initialDragStates(rng, o);
-
-    std::priority_queue<Departure, std::vector<Departure>, std::greater<>> departures;
-
-    const auto startNext = [&](count s, double now) {
-        SimSession& ses = sessions[s];
-        SimSlot slot = ses.queue.front();
-        ses.queue.pop_front();
-        const count depthBehind = ses.queue.size();
-        const double waitMs = (now - slot.arrivalSec) * 1000.0;
-        const bool missed = o.deadlineMs > 0.0 && waitMs > o.deadlineMs;
-        const bool degraded = depthBehind > model.degradeQueueDepth || missed;
-        const double jitter =
-            1.0 + model.serviceJitterFrac * (2.0 * rng.real01() - 1.0);
-        const double serviceMs =
-            model.meanServiceMs * jitter * (degraded ? model.degradedCostFactor : 1.0);
-        ses.busy = true;
-        ++replicas[ses.replica].busyWorkers;
-        departures.push({now + serviceMs / 1000.0, s, ses.replica, waitMs, serviceMs,
-                         slot.waiters, degraded, missed});
-    };
-
-    const auto tryDispatch = [&](count s, double now) {
-        SimSession& ses = sessions[s];
-        if (ses.busy || ses.waiting || ses.queue.empty()) return;
-        SimReplica& rep_ = replicas[ses.replica];
-        if (rep_.busyWorkers >= model.workersPerReplica) {
-            rep_.ready.push_back(s);
-            ses.waiting = true;
-            return;
-        }
-        startNext(s, now);
-    };
-
-    const auto pumpReady = [&](count replicaId, double now) {
-        auto it = replicas.find(replicaId);
-        if (it == replicas.end()) return;
-        SimReplica& rep_ = it->second;
-        while (rep_.busyWorkers < model.workersPerReplica && !rep_.ready.empty()) {
-            const count s = rep_.ready.front();
-            rep_.ready.pop_front();
-            SimSession& ses = sessions[s];
-            ses.waiting = false;
-            // Stale entries (session migrated away or already running) are
-            // skipped; the session re-parks itself on its new home.
-            if (ses.busy || ses.queue.empty() || ses.replica != replicaId) continue;
-            startNext(s, now);
-        }
-    };
-
-    // Re-route every session onto the current ring; migrated sessions take
-    // their queue with them (loss-free, like ReplicaSet migration) and
-    // compete for workers on the new home immediately.
-    const auto rebalance = [&](double now) {
-        for (count s = 0; s < sessions.size(); ++s) {
-            SimSession& ses = sessions[s];
-            const count owner = ring.route(ses.key);
-            if (owner == ses.replica) continue;
-            ses.replica = owner;
-            ses.waiting = false; // old ready entry is now stale
-            if (!ses.busy) tryDispatch(s, now);
-        }
-    };
-
-    Autoscaler autoscaler(sim.autoscaler);
-    // Virtual-time SLO engine: timeScale maps the fast pair's 1 h long
-    // window onto half the run, so multi-window multi-burn-rate alerting
-    // plays out in simulated seconds. The engine only ever sees sim time,
-    // which keeps the whole report deterministic.
-    obs::SloConfig sloConfig;
-    sloConfig.timeScale = o.durationSec / 7200.0;
-    obs::SloEngine slo(sloConfig);
-    double simEnd = 0.0;
-    LatencyHistogram windowHist;
-    count windowOffered = 0;
-    count windowShed = 0;
-    bool overloadOpen = false;
-
-    double nextArrival = expGap(rng, rateAt(o, 0.0));
-    double nextTick = o.tickIntervalSec;
-    bool ticking = true;
-
-    while (true) {
-        const double tArr = nextArrival < o.durationSec ? nextArrival : kInf;
-        const double tDep = departures.empty() ? kInf : departures.top().timeSec;
-        const double tTick = ticking ? nextTick : kInf;
-        const double now = std::min({tArr, tDep, tTick});
-        if (now == kInf) break;
-        simEnd = now;
-
-        if (now == tTick) {
-            count queued = 0;
-            for (const auto& ses : sessions) queued += ses.queue.size();
-            AutoscalerSignals signals;
-            signals.replicas = replicas.size();
-            signals.queueDepthPerReplica =
-                static_cast<double>(queued) / static_cast<double>(replicas.size());
-            signals.p99LatencyMs = windowHist.samples() ? windowHist.percentile(99.0) : 0.0;
-            signals.shedRate = windowOffered == 0 ? 0.0
-                                                  : static_cast<double>(windowShed) /
-                                                        static_cast<double>(windowOffered);
-            observeSloTick(rep, slo, slo.evaluate(now));
-            signals.sloFastBurnRate = slo.fastBurnRate();
-            if (windowHist.samples() > 0) {
-                rep.endWindowP99Ms = signals.p99LatencyMs;
-                rep.endWindowShedRate = signals.shedRate;
-                if (o.deadlineMs > 0.0 && signals.p99LatencyMs > o.deadlineMs) {
-                    rep.overloaded = true;
-                    overloadOpen = true;
-                } else if (overloadOpen) {
-                    rep.recoveredAtSec = now;
-                    overloadOpen = false;
-                }
-            }
-
-            if (sim.autoscale) {
-                const auto decision = autoscaler.evaluate(signals);
-                if (decision == Autoscaler::Decision::Up &&
-                    replicas.size() < sim.autoscaler.maxReplicas) {
-                    ring.add(nextReplicaId);
-                    replicas[nextReplicaId];
-                    ++nextReplicaId;
-                    ++rep.scaleUps;
-                    rebalance(now);
-                } else if (decision == Autoscaler::Decision::Down &&
-                           replicas.size() > sim.autoscaler.minReplicas) {
-                    const count victim = replicas.rbegin()->first;
-                    ring.remove(victim);
-                    replicas.erase(victim);
-                    ++rep.scaleDowns;
-                    rebalance(now);
-                }
-            }
-            rep.replicasMax = std::max(rep.replicasMax, static_cast<count>(replicas.size()));
-            windowHist = LatencyHistogram{};
-            windowOffered = 0;
-            windowShed = 0;
-            nextTick += o.tickIntervalSec;
-            // Ticks stop once arrivals ended and the system fully drained.
-            if (tArr == kInf && departures.empty()) ticking = false;
-            continue;
-        }
-
-        if (now == tDep) {
-            const Departure dep = departures.top();
-            departures.pop();
-            SimSession& ses = sessions[dep.session];
-            rep.completed += dep.waiters;
-            if (dep.degraded) {
-                rep.degraded += dep.waiters;
-                windowShed += dep.waiters;
-            }
-            if (dep.deadlineMissed) rep.deadlineMissed += dep.waiters;
-            const double latencyMs = dep.waitMs + dep.serviceMs;
-            // Degraded answers map to the Approx tier's nominal eps, which
-            // sits inside the default 0.1 staleness budget (good) — the
-            // latency objective is what the flash crowd burns.
-            const obs::SloSample verdict{false, latencyMs, o.deadlineMs, false,
-                                         dep.degraded ? 0.05 : 0.0};
-            for (count wtr = 0; wtr < dep.waiters; ++wtr) {
-                hist.record(latencyMs);
-                windowHist.record(latencyMs);
-                slo.record(now, verdict);
-            }
-            ses.busy = false;
-            auto it = replicas.find(dep.replica);
-            if (it != replicas.end()) {
-                --it->second.busyWorkers;
-                if (!ses.queue.empty() && ses.replica == dep.replica && !ses.waiting) {
-                    // Back of the line, like the real service's re-pump.
-                    it->second.ready.push_back(dep.session);
-                    ses.waiting = true;
-                }
-                pumpReady(dep.replica, now);
-            }
-            if (ses.replica != dep.replica) tryDispatch(dep.session, now);
-            continue;
-        }
-
-        // Arrival.
-        const count s = static_cast<count>(rng.pick(sessions.size()));
-        SimSession& ses = sessions[s];
-        const SliderEvent event = o.eventModel == LoadEventModel::MonotoneDrag
-                                      ? sampleDragEvent(rng, o, drags[s])
-                                      : sampleEvent(rng, o);
-        ++rep.offered;
-        ++windowOffered;
-        bool merged = false;
-        for (auto& slot : ses.queue) {
-            if (slot.kind == event.kind) {
-                // Latest-wins: the new event overwrites the queued slot and
-                // shares its (older) timer, exactly like the real service.
-                ++slot.waiters;
-                ++rep.coalesced;
-                merged = true;
-                break;
-            }
-        }
-        if (!merged) {
-            if (ses.queue.size() >= model.maxQueuedPerSession) {
-                ++rep.rejected;
-                ++windowShed;
-                obs::SloSample shedVerdict;
-                shedVerdict.rejected = true;
-                slo.record(now, shedVerdict);
-            } else {
-                ses.queue.push_back({event.kind, now, 1});
-                tryDispatch(s, now);
-            }
-        }
-        nextArrival += expGap(rng, rateAt(o, nextArrival));
-    }
-
-    rep.durationSec = o.durationSec;
-    rep.achievedPerSec = static_cast<double>(rep.offered) / std::max(o.durationSec, 1e-9);
-    rep.p50Ms = hist.percentile(50.0);
-    rep.p95Ms = hist.percentile(95.0);
-    rep.p99Ms = hist.percentile(99.0);
-    rep.maxMs = hist.maxMs();
-    rep.replicasFinal = replicas.size();
-    rep.replicasMax = std::max(rep.replicasMax, rep.replicasFinal);
-    {
-        const auto status = slo.evaluate(simEnd);
-        observeSloTick(rep, slo, status);
-        finishSloReport(rep, status);
-        rep.sloStateChanges = slo.stateChanges();
-    }
     return rep;
 }
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "src/md/trajectory.hpp"
-#include "src/serve/replica_set.hpp"
 #include "src/serve/service_endpoint.hpp"
 
 namespace rinkit::serve {
@@ -39,15 +38,6 @@ enum class LoadEventModel {
 struct LoadGenOptions {
     LoadSchedule schedule = LoadSchedule::Constant;
     LoadEventModel eventModel = LoadEventModel::Mixed;
-    /// MonotoneDrag knobs: per-event probabilities of a direction
-    /// reversal, of switching to the other slider, and of an interleaved
-    /// measure flip; the cutoff slider's tick grid.
-    double dragReversalProb = 0.08;
-    double dragSwitchProb = 0.05;
-    double dragMeasureProb = 0.04;
-    double dragCutoffMin = 4.0;
-    double dragCutoffMax = 7.5;
-    double dragCutoffStep = 0.1;
     double baseRatePerSec = 50.0; ///< lambda of the Poisson arrival process
     double durationSec = 2.0;
     count sessions = 16; ///< sticky users, routing keys "user-<i>"
@@ -86,20 +76,25 @@ struct LoadReport {
     double p99Ms = 0.0;
     double maxMs = 0.0;
 
-    // Autoscaling trace (zeros when the run had a fixed fleet).
+    // Autoscaling trace: replica-count changes observed at run()'s ticks
+    // (zeros when the fleet stayed fixed).
     count scaleUps = 0;
     count scaleDowns = 0;
     count replicasFinal = 0;
     count replicasMax = 0;
-    /// First tick at/after the flash where the windowed p99 returned below
-    /// the deadline after having blown it (-1 = never overloaded or never
-    /// recovered; see recovered).
+
+    // Windowed trace: one window per tick, over the futures harvested since
+    // the previous tick. A window's p99 is judged against deadlineMs.
+    /// Some window's p99 blew the deadline.
+    bool overloaded = false;
+    /// Tick at which the windowed p99 first returned under the deadline
+    /// after the last overload (-1 = never overloaded or never recovered).
     double recoveredAtSec = -1.0;
-    bool overloaded = false; ///< some tick's windowed p99 blew the deadline
+    /// p99 and shed rate of the last window that harvested a completion.
     double endWindowP99Ms = 0.0;
     double endWindowShedRate = 0.0;
 
-    // SLO trace (defaults when the endpoint/simulation had no SLO engine).
+    // SLO trace (defaults when the endpoint had no SLO engine).
     /// Worst per-objective attainment over the longest window at run end.
     double sloAttainment = 1.0;
     /// Peak SloEngine::fastBurnRate() seen at any tick.
@@ -108,7 +103,7 @@ struct LoadReport {
     bool sloAlertFired = false;
     /// SloEngine::stateChanges() over the run (alert-state transitions).
     count sloStateChanges = 0;
-    /// TailSampler retention verdicts over the run (run() mode only).
+    /// TailSampler retention verdicts over the run.
     count tracesRetained = 0;
 
     double shedRate() const {
@@ -120,41 +115,11 @@ struct LoadReport {
     std::string toJson() const;
 };
 
-/// Per-replica capacity model for the virtual-time simulation: worker
-/// count and the measured per-request service time. meanServiceMs is meant
-/// to be *calibrated* — measure it by draining real events through a real
-/// SessionService and reading its server_ms histogram (the cluster bench
-/// does exactly that), so the simulated curves rest on real execution
-/// costs. The scheduling semantics (per-session FIFO, latest-wins
-/// coalescing, admission bound, degrade thresholds) mirror SessionService.
-struct SimServiceModel {
-    count workersPerReplica = 10; ///< paper pod: 10 vCores, one worker each
-    double meanServiceMs = 1.0;
-    double serviceJitterFrac = 0.2;  ///< uniform +- fraction around the mean
-    double degradedCostFactor = 0.5; ///< Approx tier skips the exact path
-    count maxQueuedPerSession = 8;
-    count degradeQueueDepth = 2;
-};
-
-/// Fleet shape for the virtual-time simulation.
-struct SimOptions {
-    count initialReplicas = 1;
-    bool autoscale = false;
-    AutoscalerOptions autoscaler{};
-    count vnodesPerReplica = 64;
-};
-
-/// Open-loop Poisson load generator.
-///
-/// Two modes:
-///  - run(): wall-clock drive of a live ServiceEndpoint — real sessions,
-///    real futures, real migration. Use for smoke tests and correctness.
-///  - simulateCluster(): the same arrival process in virtual time against
-///    the calibrated capacity model, with the real ConsistentHashRing for
-///    routing and the real Autoscaler policy for scaling. Use for
-///    throughput/latency/shed curves vs replica count: virtual time makes
-///    the curves a function of the model, not of how many cores the CI box
-///    happens to have (a 1-core runner cannot host 4 real pods).
+/// Open-loop Poisson load generator: drives a live ServiceEndpoint (one
+/// SessionService or a ReplicaSet) in wall-clock time with real sessions,
+/// real futures and real migration. Fleet-scaling curves come from this
+/// same path (bench_cluster_scaling), so they measure the serving code
+/// itself.
 class LoadGenerator {
 public:
     using Options = LoadGenOptions;
@@ -170,20 +135,14 @@ public:
 
     /// Drives @p endpoint open-loop in real time. @p onTick (optional)
     /// fires every tickIntervalSec with the elapsed seconds — wire it to
-    /// ReplicaSet::tick for live autoscaling. Ends by draining the
-    /// endpoint and harvesting every outstanding future. When the endpoint
-    /// exposes an SLO engine it is evaluated each tick (burn peak / alert
-    /// flags land in the report); a tail sampler's retention totals are
-    /// harvested at the end.
+    /// ReplicaSet::tick for live autoscaling. Each tick then harvests the
+    /// resolved futures and closes one window of the report's windowed
+    /// trace. Ends by draining the endpoint and harvesting every
+    /// outstanding future. When the endpoint exposes an SLO engine it is
+    /// evaluated each tick (burn peak / alert flags land in the report); a
+    /// tail sampler's retention totals are harvested at the end.
     LoadReport run(ServiceEndpoint& endpoint, const md::Trajectory& traj,
                    const std::function<void(double)>& onTick = {});
-
-    /// Virtual-time discrete-event run against the capacity model. A local
-    /// SLO engine (windows compressed so the fast pair's long window spans
-    /// half the run) scores every departure/rejection; its fast burn rate
-    /// feeds the autoscaler signal, so simulated fleets scale on budget
-    /// burn exactly like live ones.
-    LoadReport simulateCluster(const SimServiceModel& model, const SimOptions& sim) const;
 
     const Options& options() const { return options_; }
 

@@ -90,9 +90,8 @@ struct AutoscalerSignals {
 
 /// Pure threshold/hysteresis policy: evaluate() consumes one signal sample
 /// per tick and says Hold/Up/Down. No clock, no cluster — the caller
-/// (ReplicaSet::tick, or the load generator's virtual-time loop) applies
-/// the decision, which keeps the policy unit-testable with synthetic
-/// square waves.
+/// (ReplicaSet::tick) applies the decision, which keeps the policy
+/// unit-testable with synthetic square waves.
 class Autoscaler {
 public:
     enum class Decision { Hold, Up, Down };

@@ -563,7 +563,7 @@ void SessionService::runNext(std::shared_ptr<Session> session) {
         // execution, and the root are all still ahead. Under tail sampling
         // the root was already forced at submit, so this flip is a no-op —
         // the force happens exactly once per root, never twice.
-        if (options_.sampleOnDeadlineMiss && !request.traceCtx.sampled && tracer.enabled())
+        if (!request.traceCtx.sampled && tracer.enabled())
             request.traceCtx.sampled = true;
     }
 

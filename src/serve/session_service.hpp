@@ -70,10 +70,6 @@ struct SessionServiceOptions {
     count staleQueueDepth = 6;
     /// Deadline applied when an event carries none. 0 = no deadline.
     double defaultDeadlineMs = 0.0;
-    /// Head sampling escape hatch: a request whose queue wait blew its
-    /// deadline is traced even when it lost the head-sampling draw, so the
-    /// requests most worth debugging always leave a span tree.
-    bool sampleOnDeadlineMiss = true;
     /// Replica identity stamped on every metrics snapshot and span this
     /// instance emits ("0", "1", ... in a ReplicaSet). Empty for a
     /// standalone single-instance service.

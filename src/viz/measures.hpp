@@ -93,8 +93,7 @@ const char* tierName(ResolutionTier t);
 ///     dynamic kernel: on small-diameter RINs its sigma cascades are
 ///     global, so repair never beat Brandes.
 ///  3. *Sampled approximation* — when the caller states an error tolerance
-///     (Request::tolerance, surfaced as RinWidgetOptions::
-///     measureErrorTolerance) or the serving layer degrades to
+///     (Request::tolerance) or the serving layer degrades to
 ///     DegradeLevel::Approx, betweenness switches to adaptive (KADABRA-
 ///     style) sampling, reporting the (epsilon, delta) actually achieved in
 ///     ResultInfo. The sample set itself is diff-maintained

@@ -49,9 +49,10 @@ void RinWidget::recomputeLayout(UpdateTiming& t) {
     count coarsestNodes = g.numberOfNodes();
     bool converged = false;
 
-    if (!warmStart && options_.multilevelLayout) {
+    if (!warmStart) {
         // Cold start (first frame, or recovery after a degraded stretch
-        // changed the node count): full multilevel V-cycle.
+        // changed the node count): full multilevel V-cycle (coarsen /
+        // solve coarsest / prolong+refine).
         MultilevelMaxentStress::Parameters params;
         params.sweep.seed = options_.seed;
         MultilevelMaxentStress layout(g, 3, params);
@@ -63,20 +64,14 @@ void RinWidget::recomputeLayout(UpdateTiming& t) {
         coarsestNodes = layout.coarsestNodes();
         converged = layout.converged();
     } else {
+        // Warm start: the capped fine-level polish.
         MaxentStress::Parameters params;
-        // Degraded mode gives up layout quality for latency: only the short
-        // warm-start polish runs even on a cold start.
-        params.iterations = degraded() && options_.layoutWarmStartIterations > 0
-                                ? std::min(options_.layoutIterations,
-                                           options_.layoutWarmStartIterations)
-                                : options_.layoutIterations;
+        params.iterations = options_.layoutIterations;
         params.warmStartIterations = options_.layoutWarmStartIterations;
         params.seed = options_.seed;
         MaxentStress layout(g, 3, params);
         layout.setWorkspace(&layoutWorkspace_);
-        if (warmStart) {
-            layout.setInitialCoordinates(maxentCoords_);
-        }
+        layout.setInitialCoordinates(maxentCoords_);
         layout.run();
         maxentCoords_ = layout.getCoordinates();
         iterationsDone = layout.iterationsDone();
@@ -95,7 +90,6 @@ void RinWidget::recomputeMeasure(UpdateTiming& t) {
     obs::ScopedSpan span("widget.measure");
     if (!scores_.empty()) buffer_ = scores_; // keep the most recent result
     MeasureEngine::Request req;
-    req.tolerance = options_.measureErrorTolerance;
     req.degrade = degradeLevel_;
     MeasureEngine::ResultInfo resultInfo;
     scores_ = engine_.scores(rin_.graph(), *measure_, req, &resultInfo);

@@ -40,17 +40,14 @@ struct RinWidgetOptions {
     std::optional<Measure> initialMeasure = Measure::Closeness;
     Palette palette = Palette::Spectral;
     bool autoRecompute = true; ///< recompute the measure on network change
-    count layoutIterations = 30; ///< Maxent-Stress iterations per update
+    /// Maxent-Stress iterations per warm-started update. Cold layouts
+    /// (first frame, or a changed node count) always run the multilevel
+    /// V-cycle solver (coarsen / solve coarsest / prolong+refine).
+    count layoutIterations = 30;
     /// Iteration cap when the layout is seeded with the previous
     /// result (every update after the first): the seed is already
     /// near equilibrium, so a short polish suffices. 0 disables.
     count layoutWarmStartIterations = 10;
-    /// Cold layouts (first frame, degraded recovery — no previous
-    /// coordinates to seed from) run the multilevel V-cycle solver
-    /// (coarsen / solve coarsest / prolong+refine) instead of the full
-    /// single-level iteration schedule. Warm-started updates always use
-    /// the capped fine-level polish regardless of this flag.
-    bool multilevelLayout = true;
     std::uint64_t seed = 1;
     /// Payload format shipped to the client. Json keeps the serialized
     /// figure byte-identical to the pre-wire-protocol behavior; Binary
@@ -59,11 +56,6 @@ struct RinWidgetOptions {
     /// Binary mode: frames per keyframe epoch (see
     /// wire::DeltaEncoderOptions::keyframeInterval).
     count wireKeyframeInterval = 64;
-    /// Additive error the measure engine may trade for latency (0 demands
-    /// exact results). With a positive tolerance, betweenness switches to
-    /// adaptive sampling whose achieved (epsilon, delta) is reported in
-    /// UpdateTiming.
-    double measureErrorTolerance = 0.0;
     /// Diff-driven dynamic measure updates (MeasureEngine tier 2): keep
     /// per-source BFS state and repair it from DynamicRin's edge diffs
     /// instead of recomputing.
