@@ -4,10 +4,11 @@
 //
 // Per frame switch a fraction of the edge set flips (thermal motion at a
 // fixed cutoff). The medians land in BENCH_measures_dynamic.json:
-//   - dynamic Closeness (exact level repair) and dynamic Betweenness
-//     (diff-maintained KADABRA sample set, bounds stated) vs. the exact
-//     from-scratch CSR kernels;
+//   - dynamic Betweenness (diff-maintained KADABRA sample set, bounds
+//     stated) vs. the exact from-scratch CSR kernels;
 //   - cold sampling per frame, for the warm-vs-cold comparison.
+// Exact closeness has no dynamic arm: the engine serves it from the MS-BFS
+// recompute that BM_FrameSweepExact/0 times.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,7 +17,6 @@
 #include "bench/bench_common.hpp"
 
 #include "src/centrality/kadabra.hpp"
-#include "src/dyn/dyn_closeness.hpp"
 #include "src/dyn/dyn_kadabra.hpp"
 #include "src/dyn/edge_batch.hpp"
 #include "src/md/synthetic.hpp"
@@ -78,38 +78,6 @@ void BM_FrameSweepExact(benchmark::State& state) {
     state.counters["median_ms"] = median(frameMs);
     state.counters["nodes"] = static_cast<double>(rin.graph().numberOfNodes());
     state.counters["edges"] = static_cast<double>(rin.graph().numberOfEdges());
-}
-
-// Tier 2, exact kernel: batch-dynamic repair of stored per-source BFS
-// state from the DynamicRin edge diff.
-void BM_FrameSweepDynamic(benchmark::State& state) {
-    rin::DynamicRin rin(sweepTrajectory(), rin::DistanceCriterion::MinimumAtomDistance,
-                        kCutoff);
-    dyn::DynCloseness dc;
-    dc.init(CsrView::fromGraph(rin.graph()));
-
-    std::vector<double> frameMs;
-    double diffEdges = 0.0, totalEdges = 0.0, sweeps = 0.0;
-    index frame = 0;
-    for (auto _ : state) {
-        frame = (frame + 1) % kFrames;
-        const auto stats = rin.setFrame(frame);
-        diffEdges += static_cast<double>(stats.edgesAdded + stats.edgesRemoved);
-        totalEdges += static_cast<double>(stats.edgesTotal);
-        sweeps += 1.0;
-        const dyn::EdgeBatch batch{&rin.lastAdded(), &rin.lastRemoved()};
-        Timer t;
-        const auto v = CsrView::fromGraph(rin.graph());
-        dc.update(v, batch);
-        auto scores = dc.scores(/*harmonic=*/false);
-        benchmark::DoNotOptimize(scores.data());
-        frameMs.push_back(t.elapsedMs());
-    }
-    state.SetLabel("Closeness");
-    state.counters["median_ms"] = median(frameMs);
-    state.counters["diff_fraction"] =
-        totalEdges == 0.0 ? 0.0 : diffEdges / totalEdges;
-    state.counters["diff_edges"] = sweeps == 0.0 ? 0.0 : diffEdges / sweeps;
 }
 
 // Tier 2/3 hybrid, sampled kernel: the engine's actual warm betweenness
@@ -181,7 +149,6 @@ void BM_FrameSweepApprox(benchmark::State& state) {
 }
 
 BENCHMARK(BM_FrameSweepExact)->Args({0})->Args({1})->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FrameSweepDynamic)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FrameSweepDynamicSampled)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FrameSweepApprox)->Unit(benchmark::kMillisecond);
 

@@ -18,9 +18,9 @@ namespace rinkit::dyn {
 /// it sits inside. This class keeps that sample set *alive* across edge
 /// batches instead of redrawing it per graph version:
 ///
-///  - An n x n level matrix (one BFS row per source, same representation
-///    as DynCloseness) is repaired per batch by LevelRepairer. The matrix
-///    doubles as a distance oracle: d(s,x) and d(x,t) are O(1) lookups.
+///  - An n x n level matrix (one BFS row per source) is repaired per
+///    batch by LevelRepairer. The matrix doubles as a distance oracle:
+///    d(s,x) and d(x,t) are O(1) lookups.
 ///  - A stored path for pair (s, t) stays a valid uniform sample as long
 ///    as the s-t shortest-path DAG did not change. That is detectable
 ///    exactly from the oracle: the DAG moves iff d(s,t) moved, a batch

@@ -121,18 +121,8 @@ std::vector<double> computeMeasure(const Graph& g, const CsrView& v, Measure m) 
     throw std::invalid_argument("computeMeasure: unknown measure");
 }
 
-int MeasureEngine::dynKernelFor(Measure m) {
-    switch (m) {
-    case Measure::Closeness:
-    case Measure::HarmonicCloseness: return kDynCloseness;
-    case Measure::CoreNumber: return kDynCore;
-    default: return -1;
-    }
-}
-
 bool MeasureEngine::dynPrimed(int k) const {
     switch (k) {
-    case kDynCloseness: return dynClose_.primed();
     case kDynCore: return dynCore_.primed();
     case kDynKadabra: return dynKad_.primed();
     }
@@ -141,17 +131,10 @@ bool MeasureEngine::dynPrimed(int k) const {
 
 std::uint64_t MeasureEngine::dynVersion(int k) const {
     switch (k) {
-    case kDynCloseness: return dynClose_.version();
     case kDynCore: return dynCore_.version();
     case kDynKadabra: return dynKad_.version();
     }
     return 0;
-}
-
-bool MeasureEngine::dynStateCurrent(int k, const Graph& g) const {
-    const DynMeta& meta = dynMeta_[static_cast<size_t>(k)];
-    return dynPrimed(k) && !meta.hasPending && meta.n == g.numberOfNodes() &&
-           dynVersion(k) == g.version();
 }
 
 bool MeasureEngine::dynUpdateEligible(int k, const Graph& g) const {
@@ -168,15 +151,6 @@ bool MeasureEngine::dynUpdateEligible(int k, const Graph& g) const {
     if (meta.ewmaDyn >= 0.0 && meta.ewmaExact >= 0.0 && meta.ewmaDyn > meta.ewmaExact)
         return false;
     return true;
-}
-
-std::vector<double> MeasureEngine::dynScores(int k, Measure m) const {
-    switch (k) {
-    case kDynCloseness:
-        return dynClose_.scores(m == Measure::HarmonicCloseness, true);
-    case kDynCore: return dynCore_.scores();
-    }
-    throw std::logic_error("MeasureEngine: no dynamic kernel");
 }
 
 void MeasureEngine::chainDiff(DynMeta& meta, std::uint64_t kernelVersion,
@@ -237,7 +211,6 @@ void MeasureEngine::storeExact(const Graph& g, Measure m, std::vector<double> sc
 }
 
 void MeasureEngine::invalidateDynamic() {
-    dynClose_.reset();
     dynCore_.reset();
     dynKad_.reset();
     for (auto& meta : dynMeta_) meta = DynMeta{};
@@ -289,19 +262,6 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
     if (effTol > 0.0 && ap.valid && ap.g == &g && ap.version == ver && ap.eps <= effTol)
         return serveSlot(ap, ResolutionTier::Approx);
 
-    // Tier 1c: the dynamic state is already at this version (the sibling
-    // measure of a shared kernel computed or repaired it) — read it off.
-    const int dk = dynKernelFor(m);
-    if (dk >= 0 && dynStateCurrent(dk, g)) {
-        ex.scores = dynScores(dk, m);
-        ex.version = ver;
-        ex.g = &g;
-        ex.valid = true;
-        ex.eps = ex.delta = 0.0;
-        ex.samples = 0;
-        return serveSlot(ex, ResolutionTier::Exact);
-    }
-
     // Last rung: under Stale degradation a right-sized result for an older
     // version beats any recomputation.
     if (req.degrade == DegradeLevel::Stale) {
@@ -315,11 +275,12 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
     }
 
     const CsrView& v = snapshot_.get(g);
+    const bool core = m == Measure::CoreNumber;
 
-    // Tier 2: diff-driven repair of the stored per-source state — exact
-    // results without a recompute.
-    if (dk >= 0 && dynUpdateEligible(dk, g)) {
-        DynMeta& meta = dynMeta_[static_cast<size_t>(dk)];
+    // Tier 2: diff-driven repair of the stored core state — exact results
+    // without a recompute.
+    if (core && dynUpdateEligible(kDynCore, g)) {
+        DynMeta& meta = dynMeta_[kDynCore];
         const count diffEdges = meta.pendAdd.size() + meta.pendRem.size();
         dyn::EdgeBatch batch{&meta.pendAdd, &meta.pendRem};
         const auto t0 = std::chrono::steady_clock::now();
@@ -327,16 +288,13 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
             obs::ScopedSpan upd("engine.dynamic_update");
             upd.attr("measure", measureName(m));
             upd.attr("diff_edges", diffEdges);
-            switch (dk) {
-            case kDynCloseness: dynClose_.update(v, batch); break;
-            case kDynCore: dynCore_.update(v, batch); break;
-            }
+            dynCore_.update(v, batch);
         }
         feedEwma(meta.ewmaDyn, elapsedMs(t0));
         meta.hasPending = false;
         meta.pendAdd.clear();
         meta.pendRem.clear();
-        ex.scores = dynScores(dk, m);
+        ex.scores = dynCore_.scores();
         ex.version = ver;
         ex.g = &g;
         ex.valid = true;
@@ -374,7 +332,7 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
             out.diffEdges = diffEdges;
         } else if (opts_.dynamicMeasures && n >= 2 && n <= opts_.dynStateMaxNodes) {
             // Cold sampling doubles as the prime of the dynamic sample
-            // state, like the exact kernels' init.
+            // state, like the core kernel's init.
             const auto t0 = std::chrono::steady_clock::now();
             dynKad_.init(v, effTol, kApproxDelta, opts_.seed);
             feedEwma(meta.ewmaExact, elapsedMs(t0));
@@ -406,32 +364,29 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
         return finish(ap.scores);
     }
 
-    // Tier 1 (compute): exact recompute. For dyn-capable measures on graphs
-    // under the state cap, the recompute *is* the kernel's init — priming
-    // the repair state as a side effect at the same asymptotic cost.
-    const bool prime = dk >= 0 && opts_.dynamicMeasures && n >= 2 &&
+    // Tier 1 (compute): exact recompute. For CoreNumber on graphs under the
+    // state cap, the recompute *is* the kernel's init — priming the repair
+    // state as a side effect at the same asymptotic cost.
+    const bool prime = core && opts_.dynamicMeasures && n >= 2 &&
                        n <= opts_.dynStateMaxNodes;
     const auto t0 = std::chrono::steady_clock::now();
     if (prime) {
         {
             obs::ScopedSpan init("engine.dynamic_init");
             init.attr("measure", measureName(m));
-            switch (dk) {
-            case kDynCloseness: dynClose_.init(v); break;
-            case kDynCore: dynCore_.init(v); break;
-            }
+            dynCore_.init(v);
         }
-        DynMeta& meta = dynMeta_[static_cast<size_t>(dk)];
+        DynMeta& meta = dynMeta_[kDynCore];
         meta.chainValid = true;
         meta.hasPending = false;
         meta.pendAdd.clear();
         meta.pendRem.clear();
         meta.n = n;
-        ex.scores = dynScores(dk, m);
+        ex.scores = dynCore_.scores();
         feedEwma(meta.ewmaExact, elapsedMs(t0));
     } else {
         ex.scores = computeMeasure(g, v, m);
-        if (dk >= 0) feedEwma(dynMeta_[static_cast<size_t>(dk)].ewmaExact, elapsedMs(t0));
+        if (core) feedEwma(dynMeta_[kDynCore].ewmaExact, elapsedMs(t0));
     }
     ex.version = ver;
     ex.g = &g;

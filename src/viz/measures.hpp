@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/dyn/dyn_closeness.hpp"
 #include "src/dyn/dyn_core.hpp"
 #include "src/dyn/dyn_kadabra.hpp"
 #include "src/graph/csr_view.hpp"
@@ -64,7 +63,7 @@ enum class DegradeLevel { None, Approx, Stale };
 /// (plus the stale-serve escape hatch). Reported per request so the tier is
 /// visible in span attributes, metrics, and session recordings.
 enum class ResolutionTier {
-    Exact,   ///< fresh exact: cache hit, dyn-state serve, or full recompute
+    Exact,   ///< fresh exact: cache hit or full recompute
     Dynamic, ///< exact, produced by diff-driven repair of stored state
     Approx,  ///< sampled, with an (epsilon, delta) guarantee
     Stale,   ///< exact or approx, but for an older graph version
@@ -82,16 +81,17 @@ const char* tierName(ResolutionTier t);
 ///     O(1) lookup. Exact and approximate results live in separate slots
 ///     keyed by (measure, version, epsilon), so an exact read never serves
 ///     a sampled result silently, and vice versa. A miss recomputes.
-///  2. *Dynamic update* — for Closeness / Harmonic / Core the engine keeps
-///     per-source BFS state (rinkit::dyn) primed by the last exact
-///     computation. When the graph moved by a small diff (fed in via
-///     noteDiff() from DynamicRin's edge lists), the state is repaired
-///     instead of recomputed — exact results at a fraction of the cost. A
-///     cost model (diff fraction, node cap, EWMA of observed update vs
-///     recompute times) decides when repair would be slower than
-///     recomputing and falls back automatically. Betweenness has no exact
-///     dynamic kernel: on small-diameter RINs its sigma cascades are
-///     global, so repair never beat Brandes.
+///  2. *Dynamic update* — for CoreNumber the engine keeps the peeling
+///     state (rinkit::dyn) primed by the last exact computation. When the
+///     graph moved by a small diff (fed in via noteDiff() from
+///     DynamicRin's edge lists), the state is repaired instead of
+///     recomputed. A cost model (diff fraction, node cap, EWMA of observed
+///     update vs recompute times) decides when repair would be slower than
+///     recomputing and falls back automatically. Closeness and Harmonic
+///     have no dynamic kernel: one 64-source bit-parallel BFS recompute
+///     (MS-BFS) is cheaper than level-matrix repair at the churn a slider
+///     tick causes. Betweenness has none either: on small-diameter RINs its
+///     sigma cascades are global, so repair never beat Brandes.
 ///  3. *Sampled approximation* — when the caller states an error tolerance
 ///     (Request::tolerance) or the serving layer degrades to
 ///     DegradeLevel::Approx, betweenness switches to adaptive (KADABRA-
@@ -109,7 +109,8 @@ public:
     struct Options {
         /// Master switch for tier 2 (state priming + diff repair).
         bool dynamicMeasures = true;
-        /// Dynamic state is O(n^2); above this node count never prime.
+        /// DynKadabra's level matrix is O(n^2); above this node count no
+        /// dynamic kernel is primed.
         count dynStateMaxNodes = 1536;
         std::uint64_t seed = 1;
     };
@@ -184,7 +185,7 @@ private:
     };
 
     /// Chain bookkeeping for one dynamic kernel (the kernel itself stores
-    /// the per-source state).
+    /// its state).
     struct DynMeta {
         bool chainValid = false; ///< pending diff leads kernel -> current
         bool hasPending = false;
@@ -195,27 +196,21 @@ private:
         double ewmaExact = -1.0;  ///< EWMA of exact/prime cost (ms)
     };
 
-    /// kDynKadabra is the sampled sibling of the exact kernels: the approx
-    /// tier's betweenness state, diff-maintained like the others but served
+    /// kDynKadabra is the sampled sibling of the exact core kernel: the
+    /// approx tier's betweenness state, diff-maintained like it but served
     /// with an (epsilon, delta) bound instead of exactness.
     enum DynKernel {
-        kDynCloseness = 0,
-        kDynCore = 1,
-        kDynKadabra = 2,
+        kDynCore = 0,
+        kDynKadabra = 1,
     };
-    static constexpr int kNumDynKernels = 3;
-
-    /// Dynamic kernel index for @p m, or -1 when it has none.
-    static int dynKernelFor(Measure m);
+    static constexpr int kNumDynKernels = 2;
 
     void chainDiff(DynMeta& meta, std::uint64_t kernelVersion, std::uint64_t fromVersion,
                    std::uint64_t toVersion,
                    const std::vector<std::pair<node, node>>& added,
                    const std::vector<std::pair<node, node>>& removed);
 
-    bool dynStateCurrent(int k, const Graph& g) const;
     bool dynUpdateEligible(int k, const Graph& g) const;
-    std::vector<double> dynScores(int k, Measure m) const;
     bool dynPrimed(int k) const;
     std::uint64_t dynVersion(int k) const;
 
@@ -224,7 +219,6 @@ private:
     std::array<Slot, kNumMeasures> exact_{};
     std::array<Slot, kNumMeasures> approx_{};
 
-    dyn::DynCloseness dynClose_;
     dyn::DynCoreDecomposition dynCore_;
     dyn::DynKadabra dynKad_;
     std::array<DynMeta, kNumDynKernels> dynMeta_{};

@@ -56,12 +56,13 @@ struct RinWidgetOptions {
     /// Binary mode: frames per keyframe epoch (see
     /// wire::DeltaEncoderOptions::keyframeInterval).
     count wireKeyframeInterval = 64;
-    /// Diff-driven dynamic measure updates (MeasureEngine tier 2): keep
-    /// per-source BFS state and repair it from DynamicRin's edge diffs
-    /// instead of recomputing.
+    /// Diff-driven dynamic measure updates (MeasureEngine tier 2): repair
+    /// core numbers and the warm betweenness sample set from DynamicRin's
+    /// edge diffs instead of recomputing.
     bool dynamicMeasures = true;
-    /// The dynamic state is O(n^2); graphs above this node count are never
-    /// primed (see MeasureEngine::Options::dynStateMaxNodes).
+    /// DynKadabra's level matrix is O(n^2); graphs above this node count
+    /// never prime a dynamic kernel (see
+    /// MeasureEngine::Options::dynStateMaxNodes).
     count dynStateMaxNodes = 1536;
     /// Speculative precompute: the serving layer may call speculate()
     /// between requests to precompute the predicted next slider tick

@@ -1,10 +1,10 @@
 // Property tests for the dynamic/approximate measure layer: every dynamic
 // kernel is driven through random diff sequences and compared against its
 // from-scratch counterpart at the accuracy contract DESIGN.md documents
-// (integer-valued state bit-equal, harmonic accumulation at 1e-9),
-// the sampling kernels are checked against their stated error bounds, and
-// the MeasureEngine's three-tier resolution (cache keying, dynamic
-// updates, approximation under tolerance/degrade) is exercised directly.
+// (integer-valued state bit-equal), the sampling kernels are checked
+// against their stated error bounds, and the MeasureEngine's three-tier
+// resolution (cache keying, dynamic updates, approximation under
+// tolerance/degrade) is exercised directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,11 +14,9 @@
 #include <vector>
 
 #include "src/centrality/betweenness.hpp"
-#include "src/centrality/closeness.hpp"
 #include "src/centrality/core_decomposition.hpp"
 #include "src/centrality/kadabra.hpp"
 #include "src/dyn/dyn_bfs.hpp"
-#include "src/dyn/dyn_closeness.hpp"
 #include "src/dyn/dyn_core.hpp"
 #include "src/dyn/dyn_kadabra.hpp"
 #include "src/dyn/edge_batch.hpp"
@@ -79,14 +77,6 @@ void mutate(Graph& g, Rng& rng, count removals, count additions,
     std::sort(removed.begin(), removed.end());
 }
 
-double maxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
-    EXPECT_EQ(a.size(), b.size());
-    double worst = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        worst = std::max(worst, std::abs(a[i] - b[i]));
-    return worst;
-}
-
 TEST(ComposeDiff, NetsOutCancellingEdges) {
     std::vector<std::pair<node, node>> added = {{0, 1}, {2, 3}};
     std::vector<std::pair<node, node>> removed = {{4, 5}};
@@ -134,33 +124,6 @@ TEST(LevelRepairer, MatchesFreshBfsOverRandomDiffs) {
         }
         // Every reported change is real (old != new).
         for (const auto& c : changes) EXPECT_NE(c.oldLevel, c.newLevel);
-    }
-}
-
-TEST(DynCloseness, TracksFromScratchOverRandomDiffs) {
-    Graph g = generators::erdosRenyi(120, 0.05, 42);
-    dyn::DynCloseness dc;
-    dc.init(CsrView::fromGraph(g));
-    ASSERT_TRUE(dc.primed());
-
-    Rng rng(7);
-    for (int round = 0; round < 10; ++round) {
-        std::vector<std::pair<node, node>> added, removed;
-        mutate(g, rng, 3, 3, added, removed);
-        dc.update(CsrView::fromGraph(g), EdgeBatch{&added, &removed});
-
-        // Standard closeness is built from integer-valued sums: bit-equal.
-        ClosenessCentrality std_(g, ClosenessCentrality::Variant::Standard, true);
-        std_.run();
-        const auto dynStd = dc.scores(/*harmonic=*/false);
-        for (node u = 0; u < g.numberOfNodes(); ++u)
-            ASSERT_DOUBLE_EQ(dynStd[u], std_.score(u)) << "round " << round;
-
-        // Harmonic accumulates 1/d in repair order: tolerance contract.
-        ClosenessCentrality harm(g, ClosenessCentrality::Variant::Harmonic, true);
-        harm.run();
-        const auto dynHarm = dc.scores(/*harmonic=*/true);
-        EXPECT_LT(maxAbsDiff(dynHarm, harm.scores()), 1e-9) << "round " << round;
     }
 }
 
@@ -348,7 +311,7 @@ TEST(MeasureEngine, DynamicTierTracksDiffAndMatchesFromScratch) {
     viz::MeasureEngine::Request exact;
     viz::MeasureEngine::ResultInfo info;
 
-    eng.scores(g, viz::Measure::Closeness, exact, &info); // primes dyn state
+    eng.scores(g, viz::Measure::CoreNumber, exact, &info); // primes dyn state
     EXPECT_EQ(info.tier, viz::ResolutionTier::Exact);
 
     const auto edges = allEdges(g);
@@ -358,17 +321,41 @@ TEST(MeasureEngine, DynamicTierTracksDiffAndMatchesFromScratch) {
     g.removeEdge(edges.front().first, edges.front().second);
     eng.noteDiff(g, preVersion, {}, removed);
 
-    const auto scores = eng.scores(g, viz::Measure::Closeness, exact, &info);
+    const auto scores = eng.scores(g, viz::Measure::CoreNumber, exact, &info);
     EXPECT_EQ(info.tier, viz::ResolutionTier::Dynamic);
     EXPECT_EQ(info.diffEdges, 1u);
 
-    // Standard closeness sums integer distances: repair is bit-equal.
+    // Core numbers are integers: repair is bit-equal.
     const auto view = CsrView::fromGraph(g);
-    EXPECT_EQ(scores, viz::computeMeasure(g, view, viz::Measure::Closeness));
+    EXPECT_EQ(scores, viz::computeMeasure(g, view, viz::Measure::CoreNumber));
 
     // A second read of the same version serves the repaired state cheaply.
-    eng.scores(g, viz::Measure::Closeness, exact, &info);
+    eng.scores(g, viz::Measure::CoreNumber, exact, &info);
     EXPECT_TRUE(info.cacheHit);
+}
+
+TEST(MeasureEngine, ExactClosenessIsBitEqualToComputeMeasure) {
+    // Closeness and Harmonic have no dynamic kernel: after a noteDiff'd
+    // mutation an exact read is the MS-BFS recompute, so both variants
+    // equal computeMeasure bit for bit (Harmonic's 1/d sums included).
+    Graph g = generators::erdosRenyi(60, 0.08, 3);
+    viz::MeasureEngine eng;
+    viz::MeasureEngine::Request exact;
+    viz::MeasureEngine::ResultInfo info;
+    for (const auto m : {viz::Measure::Closeness, viz::Measure::HarmonicCloseness})
+        eng.scores(g, m, exact, &info);
+
+    Rng rng(5);
+    std::vector<std::pair<node, node>> added, removed;
+    const std::uint64_t preVersion = g.version();
+    mutate(g, rng, 2, 2, added, removed);
+    eng.noteDiff(g, preVersion, added, removed);
+    const auto view = CsrView::fromGraph(g);
+    for (const auto m : {viz::Measure::Closeness, viz::Measure::HarmonicCloseness}) {
+        const auto scores = eng.scores(g, m, exact, &info);
+        EXPECT_EQ(info.tier, viz::ResolutionTier::Exact) << viz::measureName(m);
+        EXPECT_EQ(scores, viz::computeMeasure(g, view, m)) << viz::measureName(m);
+    }
 }
 
 TEST(MeasureEngine, ExactBetweennessIsBitEqualToComputeMeasure) {
@@ -401,19 +388,19 @@ TEST(MeasureEngine, VersionGapFallsBackToExactRecompute) {
     viz::MeasureEngine::Request exact;
     viz::MeasureEngine::ResultInfo info;
 
-    eng.scores(g, viz::Measure::Closeness, exact, &info);
+    eng.scores(g, viz::Measure::CoreNumber, exact, &info);
 
     // Mutate WITHOUT noteDiff: the dyn chain cannot bridge the gap, so the
     // engine must recompute from scratch rather than repair from a stale
     // base (a silent wrong answer).
     g.addEdge(0, 59);
     g.addEdge(1, 58);
-    const auto scores = eng.scores(g, viz::Measure::Closeness, exact, &info);
+    const auto scores = eng.scores(g, viz::Measure::CoreNumber, exact, &info);
     EXPECT_EQ(info.tier, viz::ResolutionTier::Exact);
     EXPECT_FALSE(info.cacheHit);
 
     const auto view = CsrView::fromGraph(g);
-    EXPECT_EQ(scores, viz::computeMeasure(g, view, viz::Measure::Closeness));
+    EXPECT_EQ(scores, viz::computeMeasure(g, view, viz::Measure::CoreNumber));
 }
 
 TEST(MeasureEngine, StaleDegradeServesOldVersionAndIsLabelled) {
