@@ -3,12 +3,11 @@
 # memory-heavy suites (cell list / octree rewrites are pointer-and-offset
 # code; the sanitizers are what catches an off-by-one in the CSR layout).
 #
-# Usage: scripts/verify.sh [--skip-sanitizers | --tsan | --serve-stress | --obs | --layout | --wire | --dynamic | --cluster | --speculate]
+# Usage: scripts/verify.sh [--skip-sanitizers | --tsan | --serve-stress | --obs | --layout | --wire | --cluster | --speculate]
 #   --tsan  additionally builds the parallel kernels (centrality /
 #           community: OpenMP array reductions, batched MS-BFS, atomic
-#           local moving), the dynamic-measure kernels (test_dyn: parallel
-#           per-source level repair, array reductions over the KADABRA
-#           sample counts) plus the
+#           local moving), the measure engine (test_measures: array
+#           reductions over the KADABRA sample counts) plus the
 #           serving layer (test_serve: thread pool, session queues,
 #           coalescing) with -fsanitize=thread and runs their suites.
 #   --serve-stress  runs the multi-client serving stress suite
@@ -29,12 +28,6 @@
 #           invariants, multilevel V-cycle determinism) under ASan/UBSan,
 #           then a release smoke run of the cold/warm layout ablation
 #           benchmarks (bench_ablation_layout, BM_LayoutCold/BM_LayoutWarm).
-#   --dynamic  runs the dynamic/approximate measure suites (ctest label
-#           dyn: property tests checking repaired results bit-equal — or,
-#           for the sampled kernels, within the stated (eps, delta) bound —
-#           against from-scratch recomputation over randomized diff
-#           sequences) plus the engine-facing widget suite under
-#           ASan/UBSan, then a release smoke run of bench_measures_dynamic.
 #   --cluster  runs the replicated-serving suite (ctest label cluster:
 #           hash-ring stability, autoscaler hysteresis, scale-down
 #           migration with concurrent submitters, live load-generator
@@ -70,20 +63,20 @@ if [[ "${1:-}" == "--skip-sanitizers" ]]; then
 fi
 
 if [[ "${1:-}" == "--tsan" ]]; then
-    echo "== TSan: test_centrality + test_dyn + test_community + test_serve =="
+    echo "== TSan: test_centrality + test_measures + test_community + test_serve =="
     TSAN_FLAGS="-fsanitize=thread -g -O1"
     cmake -B build-tsan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
         -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS" >/dev/null
-    cmake --build build-tsan -j --target test_centrality test_dyn test_community test_serve
+    cmake --build build-tsan -j --target test_centrality test_measures test_community test_serve
     # PLM/PLP intentionally race on community labels (benign by design,
     # same as NetworKit); TSan still reports them, so races are surfaced
     # as a report count rather than a hard failure, while centrality, the
-    # dynamic kernels, and the serving layer — which must be race-free —
+    # measure engine, and the serving layer — which must be race-free —
     # fail on any report.
     ./build-tsan/tests/test_centrality
-    ./build-tsan/tests/test_dyn
+    ./build-tsan/tests/test_measures
     ./build-tsan/tests/test_serve
     ./build-tsan/tests/test_community ||
         echo "warning: TSan reported races in community suite (label propagation races are by design; inspect the log above)"
@@ -156,27 +149,6 @@ if [[ "${1:-}" == "--layout" ]]; then
         --benchmark_filter='BM_Layout(Cold|Warm)' \
         --benchmark_min_time=0.05
     echo "== layout OK =="
-    exit 0
-fi
-
-if [[ "${1:-}" == "--dynamic" ]]; then
-    echo "== dynamic-measure suites under ASan/UBSan =="
-    SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
-    cmake -B build-asan -S . \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
-        -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
-    cmake --build build-asan -j --target test_dyn test_viz
-    (cd build-asan && ctest -L dyn --output-on-failure)
-    ./build-asan/tests/test_viz
-
-    echo "== dynamic bench smoke (release) =="
-    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-    cmake --build build-release -j --target bench_measures_dynamic
-    ./build-release/bench/bench_measures_dynamic \
-        --benchmark_filter='BM_FrameSweepDynamic' \
-        --benchmark_min_time=0.05
-    echo "== dynamic OK =="
     exit 0
 fi
 

@@ -31,9 +31,9 @@ namespace rinkit {
 ///    to the partial path counts yields a uniform shortest path while
 ///    exploring a fraction of the graph per sample.
 ///
-/// Scores are the fraction of sampled paths through each vertex, the same
-/// scale dyn::DynKadabra reports, so viz::MeasureEngine serves either one
-/// from its approx slot.
+/// Scores are the fraction of sampled paths through each vertex;
+/// viz::MeasureEngine serves them from its approx slot with the achieved
+/// (epsilon, delta).
 class KadabraBetweenness final : public CentralityAlgorithm {
 public:
     explicit KadabraBetweenness(const Graph& g, double epsilon = 0.05,

@@ -143,8 +143,8 @@ struct ReplicaSetOptions {
 ///     extracted with its *unexecuted* pending queue — every queued future
 ///     survives, accounted as handed_off on the source and adopted on the
 ///     target, so per-replica and global invariants both hold;
-///  3. the target replica adopts the widget (caches, dyn state, wire
-///     encoder travel along) and forces a wire keyframe, so the client's
+///  3. the target replica adopts the widget (caches and wire encoder
+///     travel along) and forces a wire keyframe, so the client's
 ///     next frame is a self-contained resync;
 ///  4. the victim's registry is merged into the retained aggregate, then
 ///     the replica (and its cluster pod, when bound) is torn down.

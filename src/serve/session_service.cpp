@@ -109,8 +109,8 @@ SessionService::SessionService(Options options) : options_(std::move(options)) {
                              "sessions_opened", "frames_shipped", "wire_bytes",
                              "wire_keyframes", "wire_delta_frames",
                              "handed_off", "adopted", "sessions_adopted",
-                             "measure_tier_exact", "measure_tier_dynamic",
-                             "measure_tier_approx", "measure_tier_stale",
+                             "measure_tier_exact", "measure_tier_approx",
+                             "measure_tier_stale",
                              "slo_degraded", "speculated", "spec_hit",
                              "spec_miss", "spec_cancelled", "spec_cpu_ms",
                              "lod_pairs_shipped"})

@@ -116,9 +116,9 @@ public:
     using Options = SessionServiceOptions;
 
     /// Everything a live session is, detached for migration: the widget
-    /// (whose caches, dynamic measure state, and wire encoder/decoder
-    /// state all travel with it), the applied-event log, and the pending
-    /// request queue — every queued future is handed off, none dropped.
+    /// (whose caches and wire encoder/decoder state travel with it), the
+    /// applied-event log, and the pending request queue — every queued
+    /// future is handed off, none dropped.
     /// Produced by extractSession on the draining replica, consumed by
     /// adoptSession on the target.
     class DetachedSession {

@@ -1,7 +1,6 @@
 #include "src/viz/measures.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "src/obs/trace.hpp"
@@ -83,21 +82,6 @@ std::vector<double> runOn(Kernel&& kernel, const CsrView& v) {
     return kernel.scores();
 }
 
-double elapsedMs(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                     t0)
-        .count();
-}
-
-/// Tier 2 falls back to recompute when the accumulated diff exceeds this
-/// fraction of the graph's edges.
-constexpr double kFallbackDiffFraction = 0.15;
-
-void feedEwma(double& ewma, double ms) {
-    constexpr double kAlpha = 0.3;
-    ewma = ewma < 0.0 ? ms : (1.0 - kAlpha) * ewma + kAlpha * ms;
-}
-
 } // namespace
 
 std::vector<double> computeMeasure(const Graph& g, const CsrView& v, Measure m) {
@@ -121,82 +105,6 @@ std::vector<double> computeMeasure(const Graph& g, const CsrView& v, Measure m) 
     throw std::invalid_argument("computeMeasure: unknown measure");
 }
 
-bool MeasureEngine::dynPrimed(int k) const {
-    switch (k) {
-    case kDynCore: return dynCore_.primed();
-    case kDynKadabra: return dynKad_.primed();
-    }
-    return false;
-}
-
-std::uint64_t MeasureEngine::dynVersion(int k) const {
-    switch (k) {
-    case kDynCore: return dynCore_.version();
-    case kDynKadabra: return dynKad_.version();
-    }
-    return 0;
-}
-
-bool MeasureEngine::dynUpdateEligible(int k, const Graph& g) const {
-    const DynMeta& meta = dynMeta_[static_cast<size_t>(k)];
-    if (!dynPrimed(k) || !meta.chainValid || !meta.hasPending) return false;
-    if (meta.target != g.version() || meta.n != g.numberOfNodes()) return false;
-    if (g.numberOfNodes() > opts_.dynStateMaxNodes) return false;
-    const double diff =
-        static_cast<double>(meta.pendAdd.size() + meta.pendRem.size());
-    const double edges = static_cast<double>(std::max<count>(g.numberOfEdges(), 1));
-    if (diff > kFallbackDiffFraction * edges) return false;
-    // Span-fed cost model: once updates have been observed to cost more
-    // than recomputing, stop repairing until the state is re-primed.
-    if (meta.ewmaDyn >= 0.0 && meta.ewmaExact >= 0.0 && meta.ewmaDyn > meta.ewmaExact)
-        return false;
-    return true;
-}
-
-void MeasureEngine::chainDiff(DynMeta& meta, std::uint64_t kernelVersion,
-                              std::uint64_t fromVersion, std::uint64_t toVersion,
-                              const std::vector<std::pair<node, node>>& added,
-                              const std::vector<std::pair<node, node>>& removed) {
-    const std::uint64_t base = meta.hasPending ? meta.target : kernelVersion;
-    if (base != fromVersion) {
-        // Version gap: a diff we never saw moved the graph. The stored
-        // state can no longer be repaired; the next exact read re-primes.
-        meta.chainValid = false;
-        meta.hasPending = false;
-        meta.pendAdd.clear();
-        meta.pendRem.clear();
-        return;
-    }
-    if (meta.hasPending) {
-        dyn::composeDiff(meta.pendAdd, meta.pendRem, added, removed);
-    } else {
-        meta.pendAdd = added;
-        meta.pendRem = removed;
-    }
-    meta.target = toVersion;
-    meta.hasPending = true;
-    meta.chainValid = true;
-}
-
-void MeasureEngine::noteDiff(const Graph& g, std::uint64_t fromVersion,
-                             const std::vector<std::pair<node, node>>& added,
-                             const std::vector<std::pair<node, node>>& removed) {
-    if (!opts_.dynamicMeasures) return;
-    const std::uint64_t to = g.version();
-    for (int k = 0; k < kNumDynKernels; ++k) {
-        DynMeta& meta = dynMeta_[static_cast<size_t>(k)];
-        if (!dynPrimed(k)) continue;
-        if (meta.n != g.numberOfNodes()) {
-            meta.chainValid = false;
-            meta.hasPending = false;
-            meta.pendAdd.clear();
-            meta.pendRem.clear();
-            continue;
-        }
-        chainDiff(meta, dynVersion(k), fromVersion, to, added, removed);
-    }
-}
-
 void MeasureEngine::storeExact(const Graph& g, Measure m, std::vector<double> scores) {
     if (scores.size() != g.numberOfNodes())
         throw std::invalid_argument("MeasureEngine: storeExact size mismatch");
@@ -208,12 +116,6 @@ void MeasureEngine::storeExact(const Graph& g, Measure m, std::vector<double> sc
     ex.eps = 0.0;
     ex.delta = 0.0;
     ex.samples = 0;
-}
-
-void MeasureEngine::invalidateDynamic() {
-    dynCore_.reset();
-    dynKad_.reset();
-    for (auto& meta : dynMeta_) meta = DynMeta{};
 }
 
 const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
@@ -243,7 +145,6 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
         span.attr("cache_hit", out.cacheHit);
         if (out.epsilon > 0.0) span.attr("eps", out.epsilon);
         if (out.samples > 0) span.attr("samples", out.samples);
-        if (out.diffEdges > 0) span.attr("diff_edges", out.diffEdges);
         return s;
     };
     auto serveSlot = [&](Slot& s, ResolutionTier tier) -> const std::vector<double>& {
@@ -255,10 +156,10 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
         return finish(s.scores);
     };
 
-    // Tier 1a: fresh exact always serves — including tolerance > 0
+    // Fresh exact always serves — including tolerance > 0
     // requests (exact trivially satisfies any bound).
     if (ex.valid && ex.g == &g && ex.version == ver) return serveSlot(ex, ResolutionTier::Exact);
-    // Tier 1b: fresh approximate serves iff its guarantee is tight enough.
+    // Fresh approximate serves iff its guarantee is tight enough.
     if (effTol > 0.0 && ap.valid && ap.g == &g && ap.version == ver && ap.eps <= effTol)
         return serveSlot(ap, ResolutionTier::Approx);
 
@@ -275,82 +176,17 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
     }
 
     const CsrView& v = snapshot_.get(g);
-    const bool core = m == Measure::CoreNumber;
 
-    // Tier 2: diff-driven repair of the stored core state — exact results
-    // without a recompute.
-    if (core && dynUpdateEligible(kDynCore, g)) {
-        DynMeta& meta = dynMeta_[kDynCore];
-        const count diffEdges = meta.pendAdd.size() + meta.pendRem.size();
-        dyn::EdgeBatch batch{&meta.pendAdd, &meta.pendRem};
-        const auto t0 = std::chrono::steady_clock::now();
-        {
-            obs::ScopedSpan upd("engine.dynamic_update");
-            upd.attr("measure", measureName(m));
-            upd.attr("diff_edges", diffEdges);
-            dynCore_.update(v, batch);
-        }
-        feedEwma(meta.ewmaDyn, elapsedMs(t0));
-        meta.hasPending = false;
-        meta.pendAdd.clear();
-        meta.pendRem.clear();
-        ex.scores = dynCore_.scores();
-        ex.version = ver;
-        ex.g = &g;
-        ex.valid = true;
-        ex.eps = ex.delta = 0.0;
-        ex.samples = 0;
-        out.tier = ResolutionTier::Dynamic;
-        out.cacheHit = false;
-        out.diffEdges = diffEdges;
-        return finish(ex.scores);
-    }
-
-    // Tier 3: sampled betweenness with an explicit (epsilon, delta). Every
-    // other measure falls through to the exact tiers.
+    // Sampled betweenness with an explicit (epsilon, delta): a cold
+    // KADABRA run. Every other measure falls through to the exact path.
     if (effTol > 0.0 && m == Measure::Betweenness) {
         obs::ScopedSpan apx("engine.approx");
         apx.attr("measure", measureName(m));
-        DynMeta& meta = dynMeta_[kDynKadabra];
-        // Warm path: the maintained sample set is one small diff behind
-        // and its standing bound satisfies this request — redraw only
-        // the affected samples instead of sampling from scratch.
-        if (dynUpdateEligible(kDynKadabra, g) && dynKad_.achievedEpsilon() <= effTol) {
-            const count diffEdges = meta.pendAdd.size() + meta.pendRem.size();
-            dyn::EdgeBatch batch{&meta.pendAdd, &meta.pendRem};
-            const auto t0 = std::chrono::steady_clock::now();
-            dynKad_.update(v, batch);
-            feedEwma(meta.ewmaDyn, elapsedMs(t0));
-            meta.hasPending = false;
-            meta.pendAdd.clear();
-            meta.pendRem.clear();
-            apx.attr("diff_edges", diffEdges);
-            apx.attr("resampled", dynKad_.lastResampled());
-            ap.scores = dynKad_.scores();
-            ap.eps = dynKad_.achievedEpsilon();
-            ap.samples = dynKad_.numberOfSamples();
-            out.diffEdges = diffEdges;
-        } else if (opts_.dynamicMeasures && n >= 2 && n <= opts_.dynStateMaxNodes) {
-            // Cold sampling doubles as the prime of the dynamic sample
-            // state, like the core kernel's init.
-            const auto t0 = std::chrono::steady_clock::now();
-            dynKad_.init(v, effTol, kApproxDelta, opts_.seed);
-            feedEwma(meta.ewmaExact, elapsedMs(t0));
-            meta.chainValid = true;
-            meta.hasPending = false;
-            meta.pendAdd.clear();
-            meta.pendRem.clear();
-            meta.n = n;
-            ap.scores = dynKad_.scores();
-            ap.eps = dynKad_.achievedEpsilon();
-            ap.samples = dynKad_.numberOfSamples();
-        } else {
-            KadabraBetweenness kb(g, effTol, kApproxDelta, opts_.seed);
-            kb.run(v);
-            ap.scores = kb.scores();
-            ap.eps = kb.achievedEpsilon();
-            ap.samples = kb.numberOfSamples();
-        }
+        KadabraBetweenness kb(g, effTol, kApproxDelta, opts_.seed);
+        kb.run(v);
+        ap.scores = kb.scores();
+        ap.eps = kb.achievedEpsilon();
+        ap.samples = kb.numberOfSamples();
         ap.delta = kApproxDelta;
         ap.version = ver;
         ap.g = &g;
@@ -364,30 +200,8 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
         return finish(ap.scores);
     }
 
-    // Tier 1 (compute): exact recompute. For CoreNumber on graphs under the
-    // state cap, the recompute *is* the kernel's init — priming the repair
-    // state as a side effect at the same asymptotic cost.
-    const bool prime = core && opts_.dynamicMeasures && n >= 2 &&
-                       n <= opts_.dynStateMaxNodes;
-    const auto t0 = std::chrono::steady_clock::now();
-    if (prime) {
-        {
-            obs::ScopedSpan init("engine.dynamic_init");
-            init.attr("measure", measureName(m));
-            dynCore_.init(v);
-        }
-        DynMeta& meta = dynMeta_[kDynCore];
-        meta.chainValid = true;
-        meta.hasPending = false;
-        meta.pendAdd.clear();
-        meta.pendRem.clear();
-        meta.n = n;
-        ex.scores = dynCore_.scores();
-        feedEwma(meta.ewmaExact, elapsedMs(t0));
-    } else {
-        ex.scores = computeMeasure(g, v, m);
-        if (core) feedEwma(dynMeta_[kDynCore].ewmaExact, elapsedMs(t0));
-    }
+    // Exact recompute from scratch.
+    ex.scores = computeMeasure(g, v, m);
     ex.version = ver;
     ex.g = &g;
     ex.valid = true;
@@ -402,7 +216,6 @@ void MeasureEngine::reset() {
     snapshot_.reset();
     for (auto& entry : exact_) entry = Slot{};
     for (auto& entry : approx_) entry = Slot{};
-    invalidateDynamic();
 }
 
 } // namespace rinkit::viz

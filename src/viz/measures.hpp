@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/dyn/dyn_core.hpp"
-#include "src/dyn/dyn_kadabra.hpp"
 #include "src/graph/csr_view.hpp"
 #include "src/graph/graph.hpp"
 
@@ -59,12 +57,14 @@ std::vector<double> computeMeasure(const Graph& g, const CsrView& view, Measure 
 /// useful than an unbounded one from the past.
 enum class DegradeLevel { None, Approx, Stale };
 
-/// How a result was actually produced — the engine's three-tier resolution
+/// How a result was actually produced — the engine's two resolution paths
 /// (plus the stale-serve escape hatch). Reported per request so the tier is
 /// visible in span attributes, metrics, and session recordings.
 enum class ResolutionTier {
     Exact,   ///< fresh exact: cache hit or full recompute
-    Dynamic, ///< exact, produced by diff-driven repair of stored state
+    /// Never produced. Kept only so the frozen bench/cycle compiles; ROADMAP
+    /// item 1 removes it.
+    Dynamic,
     Approx,  ///< sampled, with an (epsilon, delta) guarantee
     Stale,   ///< exact or approx, but for an older graph version
 };
@@ -72,34 +72,22 @@ enum class ResolutionTier {
 const char* tierName(ResolutionTier t);
 
 /// The widget session's measure engine: one shared CSR snapshot plus a
-/// per-measure result cache, both keyed by Graph::version(), extended with
-/// diff-driven dynamic kernels and sampling approximation.
+/// per-measure result cache, both keyed by Graph::version(). Like the
+/// paper's widget, every read the cache cannot serve runs a kernel from
+/// scratch; there is no diff-driven state to maintain.
 ///
-/// Every request resolves through a three-tier policy:
+/// Every request resolves through one of two paths:
 ///
-///  1. *Cached exact* — switching the measure on an unchanged graph is an
-///     O(1) lookup. Exact and approximate results live in separate slots
-///     keyed by (measure, version, epsilon), so an exact read never serves
-///     a sampled result silently, and vice versa. A miss recomputes.
-///  2. *Dynamic update* — for CoreNumber the engine keeps the peeling
-///     state (rinkit::dyn) primed by the last exact computation. When the
-///     graph moved by a small diff (fed in via noteDiff() from
-///     DynamicRin's edge lists), the state is repaired instead of
-///     recomputed. A cost model (diff fraction, node cap, EWMA of observed
-///     update vs recompute times) decides when repair would be slower than
-///     recomputing and falls back automatically. Closeness and Harmonic
-///     have no dynamic kernel: one 64-source bit-parallel BFS recompute
-///     (MS-BFS) is cheaper than level-matrix repair at the churn a slider
-///     tick causes. Betweenness has none either: on small-diameter RINs its
-///     sigma cascades are global, so repair never beat Brandes.
-///  3. *Sampled approximation* — when the caller states an error tolerance
+///  1. *Exact* — switching the measure on an unchanged graph is an O(1)
+///     lookup; a miss recomputes through computeMeasure(). Exact and
+///     approximate results live in separate slots keyed by (measure,
+///     version, epsilon), so an exact read never serves a sampled result
+///     silently, and vice versa.
+///  2. *Sampled approximation* — when the caller states an error tolerance
 ///     (Request::tolerance) or the serving layer degrades to
-///     DegradeLevel::Approx, betweenness switches to adaptive (KADABRA-
-///     style) sampling, reporting the (epsilon, delta) actually achieved in
-///     ResultInfo. The sample set itself is diff-maintained
-///     (dyn::DynKadabra): on small diffs only the sampled paths whose
-///     shortest-path DAG moved are redrawn, so a warm approx read costs a
-///     fraction of a cold sampling run. Every other measure stays exact.
+///     DegradeLevel::Approx, betweenness runs a cold KadabraBetweenness
+///     (adaptive sampling), reporting the (epsilon, delta) actually
+///     achieved in ResultInfo. Every other measure stays exact.
 ///
 /// DegradeLevel::Stale additionally allows serving a right-sized result for
 /// an older version — the last rung of the ladder, kept from the original
@@ -107,10 +95,11 @@ const char* tierName(ResolutionTier t);
 class MeasureEngine {
 public:
     struct Options {
-        /// Master switch for tier 2 (state priming + diff repair).
+        /// Ignored. Kept only so the frozen bench/cycle compiles; ROADMAP
+        /// item 1 removes it.
         bool dynamicMeasures = true;
-        /// DynKadabra's level matrix is O(n^2); above this node count no
-        /// dynamic kernel is primed.
+        /// Ignored. Kept only so the frozen bench/cycle compiles; ROADMAP
+        /// item 1 removes it.
         count dynStateMaxNodes = 1536;
         std::uint64_t seed = 1;
     };
@@ -136,7 +125,6 @@ public:
         double delta = 0.0;   ///< failure probability of that bound
         count samples = 0;    ///< samples drawn (0 for exact tiers)
         bool cacheHit = false;
-        count diffEdges = 0;  ///< diff size consumed by a Dynamic update
     };
 
     MeasureEngine() = default;
@@ -152,23 +140,16 @@ public:
     /// precompute adoption hook. The caller guarantees @p scores equals
     /// what an exact recompute on @p g would produce (the speculation ran
     /// computeMeasure on an identical edge set); the next scores() read at
-    /// this version is then an O(1) cached-exact hit. Does not prime the
-    /// dynamic kernels — a later cache miss falls through the normal
-    /// ladder unchanged.
+    /// this version is then an O(1) cached-exact hit.
     void storeExact(const Graph& g, Measure m, std::vector<double> scores);
 
-    /// Feeds the engine the edge diff that moved @p g from @p fromVersion
-    /// to its current version (DynamicRin::lastAdded/lastRemoved). Diffs
-    /// compose across calls; a version gap invalidates the dynamic state
-    /// (next exact read re-primes it).
-    void noteDiff(const Graph& g, std::uint64_t fromVersion,
-                  const std::vector<std::pair<node, node>>& added,
-                  const std::vector<std::pair<node, node>>& removed);
+    /// No-op: the engine keeps no diff-driven state. Kept only so the
+    /// frozen bench/cycle compiles; ROADMAP item 1 removes it.
+    void noteDiff(const Graph&, std::uint64_t,
+                  const std::vector<std::pair<node, node>>&,
+                  const std::vector<std::pair<node, node>>&) {}
 
-    /// Drops all dynamic state (graph rebuilt / diff unavailable).
-    void invalidateDynamic();
-
-    /// Drops the snapshot, every cached result, and all dynamic state.
+    /// Drops the snapshot and every cached result.
     void reset();
 
     const Options& options() const { return opts_; }
@@ -184,44 +165,10 @@ private:
         count samples = 0;
     };
 
-    /// Chain bookkeeping for one dynamic kernel (the kernel itself stores
-    /// its state).
-    struct DynMeta {
-        bool chainValid = false; ///< pending diff leads kernel -> current
-        bool hasPending = false;
-        std::uint64_t target = 0; ///< version the pending diff produces
-        std::vector<std::pair<node, node>> pendAdd, pendRem;
-        count n = 0;              ///< node count the kernel was primed on
-        double ewmaDyn = -1.0;    ///< EWMA of update cost (ms)
-        double ewmaExact = -1.0;  ///< EWMA of exact/prime cost (ms)
-    };
-
-    /// kDynKadabra is the sampled sibling of the exact core kernel: the
-    /// approx tier's betweenness state, diff-maintained like it but served
-    /// with an (epsilon, delta) bound instead of exactness.
-    enum DynKernel {
-        kDynCore = 0,
-        kDynKadabra = 1,
-    };
-    static constexpr int kNumDynKernels = 2;
-
-    void chainDiff(DynMeta& meta, std::uint64_t kernelVersion, std::uint64_t fromVersion,
-                   std::uint64_t toVersion,
-                   const std::vector<std::pair<node, node>>& added,
-                   const std::vector<std::pair<node, node>>& removed);
-
-    bool dynUpdateEligible(int k, const Graph& g) const;
-    bool dynPrimed(int k) const;
-    std::uint64_t dynVersion(int k) const;
-
     Options opts_{};
     CsrSnapshot snapshot_;
     std::array<Slot, kNumMeasures> exact_{};
     std::array<Slot, kNumMeasures> approx_{};
-
-    dyn::DynCoreDecomposition dynCore_;
-    dyn::DynKadabra dynKad_;
-    std::array<DynMeta, kNumDynKernels> dynMeta_{};
 };
 
 } // namespace rinkit::viz

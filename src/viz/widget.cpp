@@ -14,22 +14,10 @@ namespace rinkit::viz {
 // of clock reads per phase), so the trace a request exports and the
 // timing struct the serving layer aggregates can never disagree.
 
-namespace {
-
-MeasureEngine::Options engineOptions(const RinWidgetOptions& o) {
-    MeasureEngine::Options e;
-    e.dynamicMeasures = o.dynamicMeasures;
-    e.dynStateMaxNodes = o.dynStateMaxNodes;
-    e.seed = o.seed;
-    return e;
-}
-
-} // namespace
-
 RinWidget::RinWidget(const md::Trajectory& traj, Options options)
     : options_(options),
       rin_(traj, options.criterion, options.initialCutoff, options.initialFrame),
-      engine_(engineOptions(options)),
+      engine_(MeasureEngine::Options{.seed = options.seed}),
       measure_(options.initialMeasure),
       wireEncoder_(wire::DeltaEncoderOptions{options.wireKeyframeInterval}) {
     Predictor::Options pred;
@@ -98,7 +86,6 @@ void RinWidget::recomputeMeasure(UpdateTiming& t) {
     t.measureEps = resultInfo.epsilon;
     t.measureDelta = resultInfo.delta;
     t.measureSamples = resultInfo.samples;
-    t.measureDiffEdges = resultInfo.diffEdges;
     span.attr("measure", measureName(*measure_));
     span.attr("cache_hit", t.measureCacheHit);
     span.attr("degraded", degraded());
@@ -428,9 +415,6 @@ RinWidget::UpdateTiming RinWidget::setFrame(index frame) {
         net.attr("edges_total", t.edgeStats.edgesTotal);
         t.networkUpdateMs = net.finishMs();
     }
-    // Hand the exact edge diff to the measure engine so the dynamic
-    // kernels can repair their state instead of recomputing.
-    engine_.noteDiff(rin_.graph(), preVersion, rin_.lastAdded(), rin_.lastRemoved());
     predictor_.observeFrame(frame);
 
     if (adoptSpeculation(t, Prediction::Kind::Frame, frame, 0.0, preVersion)) {
@@ -465,7 +449,6 @@ RinWidget::UpdateTiming RinWidget::setCutoff(double cutoff) {
         net.attr("edges_total", t.edgeStats.edgesTotal);
         t.networkUpdateMs = net.finishMs();
     }
-    engine_.noteDiff(rin_.graph(), preVersion, rin_.lastAdded(), rin_.lastRemoved());
     predictor_.observeCutoff(cutoff);
 
     if (adoptSpeculation(t, Prediction::Kind::Cutoff, 0, cutoff, preVersion)) {
@@ -517,8 +500,6 @@ RinWidget::UpdateTiming RinWidget::refresh() {
         net.attr("edges_total", rin_.graph().numberOfEdges());
         t.networkUpdateMs = net.finishMs();
     }
-    // A rebuild has no diff: the dynamic measure state cannot be repaired.
-    engine_.invalidateDynamic();
     recomputeLayout(t);
     recomputeMeasure(t);
     // A rebuild invalidates any incremental diff: ship the full edge list.

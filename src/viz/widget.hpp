@@ -56,13 +56,11 @@ struct RinWidgetOptions {
     /// Binary mode: frames per keyframe epoch (see
     /// wire::DeltaEncoderOptions::keyframeInterval).
     count wireKeyframeInterval = 64;
-    /// Diff-driven dynamic measure updates (MeasureEngine tier 2): repair
-    /// core numbers and the warm betweenness sample set from DynamicRin's
-    /// edge diffs instead of recomputing.
+    /// Ignored. Kept only so the frozen bench/cycle compiles; ROADMAP item
+    /// 1 removes it.
     bool dynamicMeasures = true;
-    /// DynKadabra's level matrix is O(n^2); graphs above this node count
-    /// never prime a dynamic kernel (see
-    /// MeasureEngine::Options::dynStateMaxNodes).
+    /// Ignored. Kept only so the frozen bench/cycle compiles; ROADMAP item
+    /// 1 removes it.
     count dynStateMaxNodes = 1536;
     /// Speculative precompute: the serving layer may call speculate()
     /// between requests to precompute the predicted next slider tick
@@ -117,7 +115,6 @@ public:
         double measureEps = 0.0;    ///< achieved additive error (0 = exact)
         double measureDelta = 0.0;  ///< failure probability of that bound
         count measureSamples = 0;   ///< samples drawn (approx tier)
-        count measureDiffEdges = 0; ///< diff consumed by a dynamic update
         bool specJudged = false; ///< a pending speculation was judged by
                                  ///< this event (hit or miss)
         bool specHit = false;    ///< ... and matched: precomputed results

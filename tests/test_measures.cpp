@@ -1,10 +1,8 @@
-// Property tests for the dynamic/approximate measure layer: every dynamic
-// kernel is driven through random diff sequences and compared against its
-// from-scratch counterpart at the accuracy contract DESIGN.md documents
-// (integer-valued state bit-equal), the sampling kernels are checked
-// against their stated error bounds, and the MeasureEngine's three-tier
-// resolution (cache keying, dynamic updates, approximation under
-// tolerance/degrade) is exercised directly.
+// Tests for the measure layer: the cold KADABRA sampler against exact
+// betweenness at its stated bound, and viz::MeasureEngine's resolution
+// (version-keyed exact and approx slots, cold sampling under tolerance or
+// degrade, stale serving), with every exact read bit-equal to
+// computeMeasure on the same graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,21 +12,13 @@
 #include <vector>
 
 #include "src/centrality/betweenness.hpp"
-#include "src/centrality/core_decomposition.hpp"
 #include "src/centrality/kadabra.hpp"
-#include "src/dyn/dyn_bfs.hpp"
-#include "src/dyn/dyn_core.hpp"
-#include "src/dyn/dyn_kadabra.hpp"
-#include "src/dyn/edge_batch.hpp"
-#include "src/components/csr_bfs.hpp"
 #include "src/graph/generators.hpp"
 #include "src/support/random.hpp"
 #include "src/viz/measures.hpp"
 
 namespace rinkit {
 namespace {
-
-using dyn::EdgeBatch;
 
 std::vector<std::pair<node, node>> allEdges(const Graph& g) {
     const auto v = CsrView::fromGraph(g);
@@ -77,75 +67,6 @@ void mutate(Graph& g, Rng& rng, count removals, count additions,
     std::sort(removed.begin(), removed.end());
 }
 
-TEST(ComposeDiff, NetsOutCancellingEdges) {
-    std::vector<std::pair<node, node>> added = {{0, 1}, {2, 3}};
-    std::vector<std::pair<node, node>> removed = {{4, 5}};
-    // Second batch removes {2,3} again (cancels the add) and re-adds {4,5}
-    // (cancels the remove); {6,7} is new.
-    dyn::composeDiff(added, removed, {{4, 5}, {6, 7}}, {{2, 3}});
-    ASSERT_EQ(added.size(), 2u);
-    EXPECT_EQ(added[0], (std::pair<node, node>{0, 1}));
-    EXPECT_EQ(added[1], (std::pair<node, node>{6, 7}));
-    EXPECT_TRUE(removed.empty());
-}
-
-TEST(LevelRepairer, MatchesFreshBfsOverRandomDiffs) {
-    Graph g = generators::erdosRenyi(150, 0.04, 11);
-    const count n = g.numberOfNodes();
-    const node source = 0;
-
-    auto v = CsrView::fromGraph(g);
-    CsrBfs bfs(v);
-    bfs.run(source);
-    std::vector<std::uint16_t> lvl(n);
-    for (node u = 0; u < n; ++u) {
-        const auto d = bfs.levelOf(u);
-        lvl[u] = d == CsrBfs::unreachedLevel ? dyn::kUnreachedLevel
-                                             : static_cast<std::uint16_t>(d);
-    }
-
-    Rng rng(99);
-    dyn::LevelRepairer repairer;
-    std::vector<dyn::LevelChange> changes;
-    for (int round = 0; round < 12; ++round) {
-        std::vector<std::pair<node, node>> added, removed;
-        mutate(g, rng, 4, 4, added, removed);
-        v = CsrView::fromGraph(g);
-        changes.clear();
-        repairer.repair(v, source, lvl.data(), EdgeBatch{&added, &removed}, changes);
-
-        CsrBfs fresh(v);
-        fresh.run(source);
-        for (node u = 0; u < n; ++u) {
-            const auto expect = fresh.levelOf(u) == CsrBfs::unreachedLevel
-                                    ? dyn::kUnreachedLevel
-                                    : static_cast<std::uint16_t>(fresh.levelOf(u));
-            ASSERT_EQ(lvl[u], expect) << "round " << round << " node " << u;
-        }
-        // Every reported change is real (old != new).
-        for (const auto& c : changes) EXPECT_NE(c.oldLevel, c.newLevel);
-    }
-}
-
-TEST(DynCoreDecomposition, BitEqualOverRandomDiffs) {
-    Graph g = generators::erdosRenyi(100, 0.06, 17);
-    dyn::DynCoreDecomposition dk;
-    dk.init(CsrView::fromGraph(g));
-
-    Rng rng(29);
-    for (int round = 0; round < 12; ++round) {
-        std::vector<std::pair<node, node>> added, removed;
-        mutate(g, rng, 4, 4, added, removed);
-        dk.update(CsrView::fromGraph(g), EdgeBatch{&added, &removed});
-
-        CoreDecomposition cd(g);
-        cd.run();
-        for (node u = 0; u < g.numberOfNodes(); ++u)
-            ASSERT_EQ(dk.coreOf(u), static_cast<count>(cd.score(u))) << "round " << round;
-        EXPECT_EQ(dk.maxCore(), cd.maxCore());
-    }
-}
-
 TEST(KadabraBetweenness, WithinBoundOfExactOnKarate) {
     const auto g = generators::karateClub();
     const count n = g.numberOfNodes();
@@ -166,65 +87,6 @@ TEST(KadabraBetweenness, WithinBoundOfExactOnKarate) {
     EXPECT_LE(worst, eps);
 }
 
-TEST(DynKadabra, WithinStatedBoundOverRandomDiffs) {
-    // The maintained sample set must keep its (eps, delta) guarantee after
-    // arbitrary diff sequences: compare against from-scratch exact
-    // betweenness (at Kadabra's pair-fraction scale) every round.
-    const double eps = 0.08;
-    for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{23}}) {
-        Graph g = generators::erdosRenyi(200, 0.035, seed);
-        const count n = g.numberOfNodes();
-        dyn::DynKadabra dk;
-        dk.init(CsrView::fromGraph(g), eps, 0.1, seed + 5);
-        EXPECT_GT(dk.numberOfSamples(), 0u);
-        EXPECT_LE(dk.achievedEpsilon(), eps);
-
-        Rng rng(seed * 77 + 1);
-        std::vector<std::pair<node, node>> added, removed;
-        for (int round = 0; round < 10; ++round) {
-            mutate(g, rng, 3, 3, added, removed);
-            const auto v = CsrView::fromGraph(g);
-            dk.update(v, EdgeBatch{&added, &removed});
-            ASSERT_LE(dk.achievedEpsilon(), eps + 1e-12);
-
-            Betweenness exact(g, true);
-            exact.run(v);
-            const double scale =
-                static_cast<double>(n - 2) / static_cast<double>(n);
-            const auto scores = dk.scores();
-            double worst = 0.0;
-            for (node u = 0; u < n; ++u)
-                worst = std::max(worst,
-                                 std::abs(scores[u] - exact.score(u) * scale));
-            ASSERT_LE(worst, dk.achievedEpsilon())
-                << "seed " << seed << " round " << round << " resampled "
-                << dk.lastResampled();
-        }
-    }
-}
-
-TEST(DynKadabra, DeterministicAndCheaperThanResamplingEverything) {
-    // Same seed + same diff sequence => identical scores regardless of
-    // history being warm; and the affected-sample detection must actually
-    // skip work (resampling everything would defeat the tier).
-    Graph g = generators::erdosRenyi(300, 0.025, 11);
-    dyn::DynKadabra a, b;
-    a.init(CsrView::fromGraph(g), 0.1, 0.1, 9);
-    b.init(CsrView::fromGraph(g), 0.1, 0.1, 9);
-
-    Rng rng(401);
-    std::vector<std::pair<node, node>> added, removed;
-    for (int round = 0; round < 6; ++round) {
-        mutate(g, rng, 2, 2, added, removed);
-        const auto v = CsrView::fromGraph(g);
-        a.update(v, EdgeBatch{&added, &removed});
-        b.update(v, EdgeBatch{&added, &removed});
-        EXPECT_EQ(a.lastResampled(), b.lastResampled());
-        EXPECT_LT(a.lastResampled(), a.numberOfSamples());
-        EXPECT_EQ(a.scores(), b.scores());
-    }
-}
-
 // ---- MeasureEngine resolution policy --------------------------------------
 
 TEST(MeasureEngine, ExactCacheServesAndIsVersionKeyed) {
@@ -242,16 +104,14 @@ TEST(MeasureEngine, ExactCacheServesAndIsVersionKeyed) {
     EXPECT_TRUE(info.cacheHit);
     EXPECT_EQ(again, first);
 
-    g.addEdge(0, 16); // version bump invalidates without noteDiff
+    g.addEdge(0, 16); // the version bump invalidates the cached result
     eng.scores(g, viz::Measure::Closeness, exact, &info);
     EXPECT_FALSE(info.cacheHit);
 }
 
 TEST(MeasureEngine, ApproxNeverLeaksIntoExactRequests) {
     Graph g = generators::karateClub();
-    viz::MeasureEngine::Options opts;
-    opts.dynamicMeasures = false; // force the sampled path under tolerance
-    viz::MeasureEngine eng(opts);
+    viz::MeasureEngine eng;
     viz::MeasureEngine::ResultInfo info;
 
     viz::MeasureEngine::Request tol;
@@ -279,9 +139,7 @@ TEST(MeasureEngine, ApproxNeverLeaksIntoExactRequests) {
 
 TEST(MeasureEngine, ApproxSlotKeyedByTolerance) {
     Graph g = generators::karateClub();
-    viz::MeasureEngine::Options opts;
-    opts.dynamicMeasures = false;
-    viz::MeasureEngine eng(opts);
+    viz::MeasureEngine eng;
     viz::MeasureEngine::ResultInfo info;
 
     viz::MeasureEngine::Request loose;
@@ -305,13 +163,16 @@ TEST(MeasureEngine, ApproxSlotKeyedByTolerance) {
     EXPECT_LE(info.epsilon, tight.tolerance);
 }
 
-TEST(MeasureEngine, DynamicTierTracksDiffAndMatchesFromScratch) {
+TEST(MeasureEngine, CoreNumberAfterDiffIsExactRecompute) {
+    // The engine keeps no diff-driven state: after a noteDiff'd removal a
+    // CoreNumber read is a from-scratch recompute, bit-equal to
+    // computeMeasure.
     Graph g = generators::erdosRenyi(60, 0.08, 3);
     viz::MeasureEngine eng;
     viz::MeasureEngine::Request exact;
     viz::MeasureEngine::ResultInfo info;
 
-    eng.scores(g, viz::Measure::CoreNumber, exact, &info); // primes dyn state
+    eng.scores(g, viz::Measure::CoreNumber, exact, &info);
     EXPECT_EQ(info.tier, viz::ResolutionTier::Exact);
 
     const auto edges = allEdges(g);
@@ -322,22 +183,19 @@ TEST(MeasureEngine, DynamicTierTracksDiffAndMatchesFromScratch) {
     eng.noteDiff(g, preVersion, {}, removed);
 
     const auto scores = eng.scores(g, viz::Measure::CoreNumber, exact, &info);
-    EXPECT_EQ(info.tier, viz::ResolutionTier::Dynamic);
-    EXPECT_EQ(info.diffEdges, 1u);
+    EXPECT_EQ(info.tier, viz::ResolutionTier::Exact);
+    EXPECT_FALSE(info.cacheHit);
+    EXPECT_EQ(scores, viz::computeMeasure(g, CsrView::fromGraph(g), viz::Measure::CoreNumber));
 
-    // Core numbers are integers: repair is bit-equal.
-    const auto view = CsrView::fromGraph(g);
-    EXPECT_EQ(scores, viz::computeMeasure(g, view, viz::Measure::CoreNumber));
-
-    // A second read of the same version serves the repaired state cheaply.
+    // A second read of the same version is a cache hit.
     eng.scores(g, viz::Measure::CoreNumber, exact, &info);
     EXPECT_TRUE(info.cacheHit);
 }
 
 TEST(MeasureEngine, ExactClosenessIsBitEqualToComputeMeasure) {
-    // Closeness and Harmonic have no dynamic kernel: after a noteDiff'd
-    // mutation an exact read is the MS-BFS recompute, so both variants
-    // equal computeMeasure bit for bit (Harmonic's 1/d sums included).
+    // After a noteDiff'd mutation an exact read is the MS-BFS recompute,
+    // so both variants equal computeMeasure bit for bit (Harmonic's 1/d
+    // sums included).
     Graph g = generators::erdosRenyi(60, 0.08, 3);
     viz::MeasureEngine eng;
     viz::MeasureEngine::Request exact;
@@ -359,11 +217,9 @@ TEST(MeasureEngine, ExactClosenessIsBitEqualToComputeMeasure) {
 }
 
 TEST(MeasureEngine, ExactBetweennessIsBitEqualToComputeMeasure) {
-    // Betweenness has no exact dynamic kernel: under the state cap, and
-    // after a noteDiff'd mutation, an exact read is a plain recompute.
+    // After a noteDiff'd mutation an exact read is a plain recompute.
     // n < 64 keeps Brandes on one thread, so two runs sum in one order.
     Graph g = generators::erdosRenyi(60, 0.08, 3);
-    ASSERT_LE(g.numberOfNodes(), viz::MeasureEngine::Options{}.dynStateMaxNodes);
     viz::MeasureEngine eng;
     viz::MeasureEngine::Request exact;
     viz::MeasureEngine::ResultInfo info;
@@ -380,27 +236,6 @@ TEST(MeasureEngine, ExactBetweennessIsBitEqualToComputeMeasure) {
     const auto second = eng.scores(g, viz::Measure::Betweenness, exact, &info);
     EXPECT_EQ(info.tier, viz::ResolutionTier::Exact);
     EXPECT_EQ(second, viz::computeMeasure(g, CsrView::fromGraph(g), viz::Measure::Betweenness));
-}
-
-TEST(MeasureEngine, VersionGapFallsBackToExactRecompute) {
-    Graph g = generators::erdosRenyi(60, 0.08, 3);
-    viz::MeasureEngine eng;
-    viz::MeasureEngine::Request exact;
-    viz::MeasureEngine::ResultInfo info;
-
-    eng.scores(g, viz::Measure::CoreNumber, exact, &info);
-
-    // Mutate WITHOUT noteDiff: the dyn chain cannot bridge the gap, so the
-    // engine must recompute from scratch rather than repair from a stale
-    // base (a silent wrong answer).
-    g.addEdge(0, 59);
-    g.addEdge(1, 58);
-    const auto scores = eng.scores(g, viz::Measure::CoreNumber, exact, &info);
-    EXPECT_EQ(info.tier, viz::ResolutionTier::Exact);
-    EXPECT_FALSE(info.cacheHit);
-
-    const auto view = CsrView::fromGraph(g);
-    EXPECT_EQ(scores, viz::computeMeasure(g, view, viz::Measure::CoreNumber));
 }
 
 TEST(MeasureEngine, StaleDegradeServesOldVersionAndIsLabelled) {
@@ -427,9 +262,7 @@ TEST(MeasureEngine, StaleDegradeServesOldVersionAndIsLabelled) {
 
 TEST(MeasureEngine, ApproxDegradeAppliesFloorTolerance) {
     Graph g = generators::karateClub();
-    viz::MeasureEngine::Options opts;
-    opts.dynamicMeasures = false;
-    viz::MeasureEngine eng(opts);
+    viz::MeasureEngine eng;
     viz::MeasureEngine::ResultInfo info;
 
     // No caller tolerance, but the serving ladder degraded to Approx: the
@@ -443,23 +276,29 @@ TEST(MeasureEngine, ApproxDegradeAppliesFloorTolerance) {
     EXPECT_DOUBLE_EQ(info.delta, viz::MeasureEngine::kApproxDelta);
 }
 
-TEST(MeasureEngine, WarmApproxMaintainsSampleStateAcrossDiffs) {
-    // With dynamicMeasures on, a tolerant betweenness read primes the
-    // DynKadabra sample state; after a noteDiff'd mutation the next read
-    // updates that state from the diff (reported via diffEdges) instead of
-    // sampling from scratch, still within the stated bound.
+TEST(MeasureEngine, ApproxBetweennessIsColdKadabraAcrossDiffs) {
+    // Every Approx betweenness read is a cold KADABRA run: before and after
+    // a noteDiff'd mutation the served scores are bit-equal to a fresh
+    // KadabraBetweenness with the same (epsilon, delta, seed). Sample
+    // counts are integers, so the OpenMP reduction order cannot change them.
     Graph g = generators::erdosRenyi(120, 0.05, 42);
-    const count n = g.numberOfNodes();
-    viz::MeasureEngine eng;
+    const viz::MeasureEngine::Options opts;
+    viz::MeasureEngine eng(opts);
     viz::MeasureEngine::Request tol;
     tol.tolerance = 0.1;
     viz::MeasureEngine::ResultInfo info;
 
-    eng.scores(g, viz::Measure::Betweenness, tol, &info);
-    EXPECT_EQ(info.tier, viz::ResolutionTier::Approx);
-    EXPECT_GT(info.samples, 0u);
-    EXPECT_EQ(info.diffEdges, 0u);
-    ASSERT_LE(info.epsilon, 0.1);
+    const auto expectColdKadabra = [&](const std::vector<double>& served) {
+        EXPECT_EQ(info.tier, viz::ResolutionTier::Approx);
+        EXPECT_FALSE(info.cacheHit);
+        KadabraBetweenness kb(g, tol.tolerance, viz::MeasureEngine::kApproxDelta, opts.seed);
+        kb.run();
+        EXPECT_EQ(served, kb.scores());
+        EXPECT_EQ(info.samples, kb.numberOfSamples());
+        EXPECT_DOUBLE_EQ(info.epsilon, kb.achievedEpsilon());
+        EXPECT_LE(info.epsilon, tol.tolerance);
+    };
+    expectColdKadabra(eng.scores(g, viz::Measure::Betweenness, tol, &info));
 
     const auto edges = allEdges(g);
     ASSERT_FALSE(edges.empty());
@@ -467,21 +306,7 @@ TEST(MeasureEngine, WarmApproxMaintainsSampleStateAcrossDiffs) {
     std::vector<std::pair<node, node>> removed = {edges.front()};
     g.removeEdge(edges.front().first, edges.front().second);
     eng.noteDiff(g, preVersion, {}, removed);
-
-    const auto scores = eng.scores(g, viz::Measure::Betweenness, tol, &info);
-    EXPECT_EQ(info.tier, viz::ResolutionTier::Approx);
-    EXPECT_FALSE(info.cacheHit);
-    EXPECT_EQ(info.diffEdges, 1u);
-    EXPECT_GT(info.samples, 0u);
-    ASSERT_LE(info.epsilon, 0.1);
-
-    const auto view = CsrView::fromGraph(g);
-    const auto fresh = viz::computeMeasure(g, view, viz::Measure::Betweenness);
-    const double scale = static_cast<double>(n - 2) / static_cast<double>(n);
-    double worst = 0.0;
-    for (node u = 0; u < n; ++u)
-        worst = std::max(worst, std::abs(scores[u] - fresh[u] * scale));
-    EXPECT_LE(worst, info.epsilon);
+    expectColdKadabra(eng.scores(g, viz::Measure::Betweenness, tol, &info));
 
     // Same version again: the approx slot serves the cached result.
     eng.scores(g, viz::Measure::Betweenness, tol, &info);

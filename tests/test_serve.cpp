@@ -378,8 +378,7 @@ TEST(SessionService, LadderEscalatesApproxThenStale) {
             EXPECT_GT(outcome.timing.measureSamples, 0u);
         }
         // Any non-exact tier must have been flagged degraded.
-        if (outcome.timing.measureTier != viz::ResolutionTier::Exact &&
-            outcome.timing.measureTier != viz::ResolutionTier::Dynamic) {
+        if (outcome.timing.measureTier != viz::ResolutionTier::Exact) {
             EXPECT_TRUE(outcome.degraded());
         }
     }
@@ -393,8 +392,8 @@ TEST(SessionService, LadderEscalatesApproxThenStale) {
     EXPECT_GE(snap.counter("measure_tier_stale"), staleServed);
     EXPECT_GE(snap.counter("measure_tier_approx"), approxServed);
     // Every completed request lands in exactly one tier bucket.
-    EXPECT_EQ(snap.counter("measure_tier_exact") + snap.counter("measure_tier_dynamic") +
-                  snap.counter("measure_tier_approx") + snap.counter("measure_tier_stale"),
+    EXPECT_EQ(snap.counter("measure_tier_exact") + snap.counter("measure_tier_approx") +
+                  snap.counter("measure_tier_stale"),
               snap.counter("completed"));
     expectCounterInvariant(snap);
 }
