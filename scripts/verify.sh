@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build+test, then an ASan/UBSan build of the
 # memory-heavy suites (cell list / octree rewrites are pointer-and-offset
-# code; the sanitizers are what catches an off-by-one in the CSR layout).
+# code; the sanitizers are what catches an off-by-one in the CSR layout)
+# and of the file parsers' hostile-input suite (test_io_files).
 #
 # Usage: scripts/verify.sh [--skip-sanitizers | --tsan | --serve-stress | --obs | --layout | --wire | --cluster | --speculate]
 #   --tsan  additionally builds the parallel kernels (centrality /
@@ -263,14 +264,15 @@ if [[ "${1:-}" == "--wire" ]]; then
     exit 0
 fi
 
-echo "== ASan/UBSan: test_rin + test_layout =="
+echo "== ASan/UBSan: test_rin + test_layout + test_io_files =="
 SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
 cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
     -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
-cmake --build build-asan -j --target test_rin test_layout
+cmake --build build-asan -j --target test_rin test_layout test_io_files
 ./build-asan/tests/test_rin
 ./build-asan/tests/test_layout
+./build-asan/tests/test_io_files
 
 echo "== verify OK =="

@@ -1,6 +1,8 @@
 #include "src/graph/graph_io.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
@@ -37,9 +39,23 @@ Graph readMetis(std::istream& in) {
         throw std::runtime_error("METIS: unsupported format flag " + std::to_string(fmt));
     }
 
+    // Bound the header by the body before Graph allocates n nodes: every
+    // node owns a line (at least its newline), and each of the m edges
+    // appears twice as a neighbour id plus a separator.
+    std::string body((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    if (n > body.size()) {
+        throw std::runtime_error("METIS: header node count " + std::to_string(n) +
+                                 " exceeds the remaining input");
+    }
+    if (m > body.size() / 2) {
+        throw std::runtime_error("METIS: header edge count " + std::to_string(m) +
+                                 " exceeds the remaining input");
+    }
+    std::istringstream bodyIn(std::move(body));
+
     Graph g(n, weighted);
     for (node u = 0; u < n; ++u) {
-        if (!nextContentLine(in, line)) {
+        if (!nextContentLine(bodyIn, line)) {
             throw std::runtime_error("METIS: premature end of file at node " +
                                      std::to_string(u));
         }
@@ -98,8 +114,16 @@ Graph readEdgeList(std::istream& in, count n, bool weighted) {
     while (std::getline(in, line)) {
         if (line.empty() || line[0] == '#') continue;
         std::istringstream ls(line);
-        node u = 0, v = 0;
-        if (!(ls >> u >> v)) throw std::runtime_error("edge list: malformed line: " + line);
+        // Signed parse: streaming "-1" into an unsigned id would wrap to a
+        // huge node count instead of failing.
+        long long a = 0, b = 0;
+        if (!(ls >> a >> b)) throw std::runtime_error("edge list: malformed line: " + line);
+        if (a < 0 || b < 0) throw std::runtime_error("edge list: negative node id: " + line);
+        const long long limit = n > 0 ? static_cast<long long>(std::min<count>(n, none))
+                                      : static_cast<long long>(none);
+        if (a >= limit || b >= limit)
+            throw std::runtime_error("edge list: node id out of range: " + line);
+        const node u = static_cast<node>(a), v = static_cast<node>(b);
         edgeweight w = 1.0;
         if (weighted) ls >> w;
         edges.emplace_back(u, v, w);

@@ -1,5 +1,6 @@
 #include "src/md/md_io.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -43,6 +44,10 @@ Protein readPdb(std::istream& in, const std::string& name) {
         const double x = std::stod(line.substr(30, 8));
         const double y = std::stod(line.substr(38, 8));
         const double z = std::stod(line.substr(46, 8));
+        // stod accepts "nan" and "inf"; a non-finite atom would silently
+        // drop out of every contact test downstream.
+        if (!std::isfinite(x) || !std::isfinite(y) || !std::isfinite(z))
+            throw std::runtime_error("PDB: non-finite coordinate: " + line);
         std::string element = line.size() >= 78 ? line.substr(76, 2) : " C";
 
         auto trim = [](std::string s) {

@@ -10,6 +10,8 @@ namespace rinkit::wire {
 namespace {
 
 using Edge = std::pair<node, node>;
+/// Byte range [first, second) of view 0's inline colour section in a frame.
+using Span = std::pair<std::size_t, std::size_t>;
 
 std::uint32_t floatBits(float v) {
     std::uint32_t bits;
@@ -137,6 +139,75 @@ std::vector<Edge> skeletonEdges(const std::vector<Edge>& coarseEdges,
     return out;
 }
 
+void writeViewHeader(ByteWriter& w, const ViewState& view) {
+    w.string(view.title);
+    w.f64(view.grid.lo.x);
+    w.f64(view.grid.lo.y);
+    w.f64(view.grid.lo.z);
+    w.f64(view.grid.hi.x);
+    w.f64(view.grid.hi.y);
+    w.f64(view.grid.hi.z);
+    w.f64(view.nodeSize);
+}
+
+void writePalette(ByteWriter& w, const std::vector<viz::Color>& palette, std::size_t from) {
+    for (std::size_t p = from; p < palette.size(); ++p) {
+        w.u8(static_cast<std::uint8_t>(palette[p].r));
+        w.u8(static_cast<std::uint8_t>(palette[p].g));
+        w.u8(static_cast<std::uint8_t>(palette[p].b));
+    }
+}
+
+void readPalette(ByteReader& r, std::vector<viz::Color>& palette, std::uint64_t entries) {
+    for (std::uint64_t k = 0; k < entries; ++k) {
+        viz::Color c;
+        c.r = r.u8();
+        c.g = r.u8();
+        c.b = r.u8();
+        palette.push_back(c);
+    }
+}
+
+/// Writes view @p v's colour section: its mode byte, then @p body's inline
+/// bytes, collapsed to the one-byte back-reference when they equal view
+/// 0's (whose span @p view0 records). Returns true when it collapsed.
+template <class Body>
+bool writeColorSection(ByteWriter& w, count v, Span& view0, Body&& body) {
+    w.u8(kColorsInline);
+    const std::size_t begin = w.size();
+    body();
+    if (v == 0) {
+        view0 = {begin, w.size()};
+        return false;
+    }
+    const auto& bytes = w.bytes();
+    if (w.size() - begin != view0.second - view0.first ||
+        !std::equal(bytes.begin() + begin, bytes.end(), bytes.begin() + view0.first))
+        return false;
+    w.truncate(begin - 1);
+    w.u8(kColorsAsView0);
+    return true;
+}
+
+/// Reads view @p v's colour section with @p body: inline bytes in place
+/// (recording view 0's span), or a back-reference re-parsed from view 0's.
+template <class Body>
+void readColorSection(ByteReader& r, count v, Span& view0, Body&& body) {
+    const std::uint8_t mode = r.u8();
+    if (mode == kColorsInline) {
+        const std::size_t begin = r.offset();
+        body(r);
+        if (v == 0) view0 = {begin, r.offset()};
+    } else if (mode == kColorsAsView0) {
+        if (v == 0) throw WireError("colour back-reference on view 0");
+        ByteReader again = r.slice(view0.first, view0.second);
+        body(again);
+        again.expectEnd();
+    } else {
+        throw WireError("unknown colour section mode");
+    }
+}
+
 } // namespace
 
 // ---------------------------------------------------------------- QuantGrid
@@ -258,8 +329,10 @@ PatchStats FrameDecoder::applyChecked(ByteReader& r, std::size_t frameBytes) {
         scores_.resize(nodeCount);
         for (count i = 0; i < nodeCount; ++i) scores_[i] = coarseScores[fineToCoarse[i]];
         views_.resize(viewCount);
-        for (auto& view : views_)
-            readLodKeyframeView(r, view, nodeCount, fineToCoarse, coarseCount);
+        Span view0Colors;
+        for (count v = 0; v < viewCount; ++v)
+            readLodKeyframeView(r, views_[v], v, nodeCount, fineToCoarse, coarseCount,
+                                view0Colors);
         r.expectEnd();
         epoch_ = epoch;
         seq_ = seq;
@@ -272,16 +345,19 @@ PatchStats FrameDecoder::applyChecked(ByteReader& r, std::size_t frameBytes) {
 
     if (keyframe) {
         if (epoch == 0) throw WireError("keyframe epoch 0");
-        // Each node takes at least 4 bytes of score plus 7 per view
-        // (quantized position + color index).
-        r.boundedCount(nodeCount, 4 + 7 * static_cast<std::size_t>(viewCount), "nodes");
+        // Each node takes at least 4 bytes of score, 6 per view of quantized
+        // position, and one colour-index byte in view 0 (every other view
+        // may back-reference view 0's colours).
+        r.boundedCount(nodeCount, 4 + 6 * static_cast<std::size_t>(viewCount) + 1, "nodes");
         hasState_ = false; // a partial decode must not look committed
         const std::uint64_t m = r.boundedCount(r.varint(), 2, "edges");
         readEdgeList(r, nodeCount, m, edges_);
         scores_.resize(nodeCount);
         for (auto& s : scores_) s = r.f32();
         views_.resize(viewCount);
-        for (auto& view : views_) readKeyframeView(r, view, nodeCount);
+        Span view0Colors;
+        for (count v = 0; v < viewCount; ++v)
+            readKeyframeView(r, views_[v], v, nodeCount, view0Colors);
         r.expectEnd();
         epoch_ = epoch;
         seq_ = seq;
@@ -304,20 +380,13 @@ PatchStats FrameDecoder::applyChecked(ByteReader& r, std::size_t frameBytes) {
     stats.edgesRemoved = removedCount;
     stats.edgesAdded = addedCount;
 
-    scoreChangedIdx_.clear();
-    const std::uint64_t scoreChanged = r.boundedCount(r.varint(), 5, "score changes");
-    std::uint64_t prev = 0;
-    for (std::uint64_t k = 0; k < scoreChanged; ++k) {
-        const std::uint64_t gap = r.varint();
-        const std::uint64_t idx = k == 0 ? gap : prev + 1 + gap;
-        if (idx >= nodeCount) throw WireError("score index out of range");
-        scores_[idx] = r.f32();
-        scoreChangedIdx_.push_back(idx);
-        prev = idx;
-    }
+    r.indexSet(nodeCount, 4, "score changes", scoreChangedIdx_);
+    for (const auto idx : scoreChangedIdx_) scores_[idx] = r.f32();
 
     if (touchStamp_.size() < nodeCount) touchStamp_.assign(nodeCount, 0);
-    for (auto& view : views_) stats.markersTouched += readDeltaView(r, view, nodeCount);
+    Span view0Colors;
+    for (count v = 0; v < viewCount; ++v)
+        stats.markersTouched += readDeltaView(r, views_[v], v, nodeCount, view0Colors);
     r.expectEnd();
     seq_ = seq;
     stats.nodeCount = nodeCount;
@@ -325,7 +394,7 @@ PatchStats FrameDecoder::applyChecked(ByteReader& r, std::size_t frameBytes) {
     return stats;
 }
 
-void FrameDecoder::readKeyframeView(ByteReader& r, ViewState& view, count nodes) {
+void FrameDecoder::readViewHeader(ByteReader& r, ViewState& view) {
     view.title = r.string(1 << 16);
     view.grid.lo = {r.f64(), r.f64(), r.f64()};
     view.grid.hi = {r.f64(), r.f64(), r.f64()};
@@ -336,51 +405,45 @@ void FrameDecoder::readKeyframeView(ByteReader& r, ViewState& view, count nodes)
         throw WireError("invalid quantization grid");
     }
     view.nodeSize = r.f64();
-    view.qpos.resize(nodes);
-    for (auto& q : view.qpos) q = {r.u16(), r.u16(), r.u16()};
-    const std::uint64_t paletteSize = r.boundedCount(r.varint(), 3, "palette");
-    view.palette.resize(paletteSize);
-    for (auto& c : view.palette) {
-        c.r = r.u8();
-        c.g = r.u8();
-        c.b = r.u8();
-    }
-    view.colorIndex.resize(nodes);
-    for (auto& ci : view.colorIndex) {
-        const std::uint64_t pi = r.varint();
-        if (pi >= paletteSize) throw WireError("palette index out of range");
-        ci = static_cast<std::uint32_t>(pi);
-    }
 }
 
-void FrameDecoder::readLodKeyframeView(ByteReader& r, ViewState& view, count nodes,
+void FrameDecoder::readKeyframeView(ByteReader& r, ViewState& view, count v, count nodes,
+                                    Span& view0Colors) {
+    readViewHeader(r, view);
+    view.qpos.resize(nodes);
+    for (auto& q : view.qpos) q = {r.u16(), r.u16(), r.u16()};
+    readColorSection(r, v, view0Colors, [&](ByteReader& cr) {
+        const std::uint64_t paletteSize = cr.boundedCount(cr.varint(), 3, "palette");
+        view.palette.clear();
+        readPalette(cr, view.palette, paletteSize);
+        view.colorIndex.resize(nodes);
+        for (auto& ci : view.colorIndex) {
+            const std::uint64_t pi = cr.varint();
+            if (pi >= paletteSize) throw WireError("palette index out of range");
+            ci = static_cast<std::uint32_t>(pi);
+        }
+    });
+}
+
+void FrameDecoder::readLodKeyframeView(ByteReader& r, ViewState& view, count v, count nodes,
                                        const std::vector<node>& fineToCoarse,
-                                       count coarseNodes) {
-    view.title = r.string(1 << 16);
-    view.grid.lo = {r.f64(), r.f64(), r.f64()};
-    view.grid.hi = {r.f64(), r.f64(), r.f64()};
-    if (!(view.grid.lo.x <= view.grid.hi.x && view.grid.lo.y <= view.grid.hi.y &&
-          view.grid.lo.z <= view.grid.hi.z)) {
-        throw WireError("invalid quantization grid");
-    }
-    view.nodeSize = r.f64();
+                                       count coarseNodes, Span& view0Colors) {
+    readViewHeader(r, view);
     // Coarse positions / colors, expanded through the prolongation map so
     // the state is fine-shaped (the refine frame is an ordinary delta).
     std::vector<std::array<std::uint16_t, 3>> coarseQ(coarseNodes);
     for (auto& q : coarseQ) q = {r.u16(), r.u16(), r.u16()};
-    const std::uint64_t paletteSize = r.boundedCount(r.varint(), 3, "palette");
-    view.palette.resize(paletteSize);
-    for (auto& c : view.palette) {
-        c.r = r.u8();
-        c.g = r.u8();
-        c.b = r.u8();
-    }
     std::vector<std::uint32_t> coarseCi(coarseNodes);
-    for (auto& ci : coarseCi) {
-        const std::uint64_t pi = r.varint();
-        if (pi >= paletteSize) throw WireError("palette index out of range");
-        ci = static_cast<std::uint32_t>(pi);
-    }
+    readColorSection(r, v, view0Colors, [&](ByteReader& cr) {
+        const std::uint64_t paletteSize = cr.boundedCount(cr.varint(), 3, "palette");
+        view.palette.clear();
+        readPalette(cr, view.palette, paletteSize);
+        for (auto& ci : coarseCi) {
+            const std::uint64_t pi = cr.varint();
+            if (pi >= paletteSize) throw WireError("palette index out of range");
+            ci = static_cast<std::uint32_t>(pi);
+        }
+    });
     view.qpos.resize(nodes);
     view.colorIndex.resize(nodes);
     for (count i = 0; i < nodes; ++i) {
@@ -389,7 +452,8 @@ void FrameDecoder::readLodKeyframeView(ByteReader& r, ViewState& view, count nod
     }
 }
 
-count FrameDecoder::readDeltaView(ByteReader& r, ViewState& view, count nodes) {
+count FrameDecoder::readDeltaView(ByteReader& r, ViewState& view, count v, count nodes,
+                                  Span& view0Colors) {
     if (++stampGeneration_ == 0) {
         std::fill(touchStamp_.begin(), touchStamp_.end(), 0);
         stampGeneration_ = 1;
@@ -402,21 +466,8 @@ count FrameDecoder::readDeltaView(ByteReader& r, ViewState& view, count nodes) {
         }
     };
 
-    const std::uint64_t grow = r.boundedCount(r.varint(), 3, "palette growth");
-    for (std::uint64_t k = 0; k < grow; ++k) {
-        viz::Color c;
-        c.r = r.u8();
-        c.g = r.u8();
-        c.b = r.u8();
-        view.palette.push_back(c);
-    }
-
-    const std::uint64_t posChanged = r.boundedCount(r.varint(), 4, "position changes");
-    std::uint64_t prev = 0;
-    for (std::uint64_t k = 0; k < posChanged; ++k) {
-        const std::uint64_t gap = r.varint();
-        const std::uint64_t idx = k == 0 ? gap : prev + 1 + gap;
-        if (idx >= nodes) throw WireError("position index out of range");
+    r.indexSet(nodes, 3, "position changes", changedIdx_);
+    for (const auto idx : changedIdx_) {
         for (int a = 0; a < 3; ++a) {
             const std::int64_t q =
                 static_cast<std::int64_t>(view.qpos[idx][a]) + r.svarint();
@@ -424,21 +475,19 @@ count FrameDecoder::readDeltaView(ByteReader& r, ViewState& view, count nodes) {
             view.qpos[idx][a] = static_cast<std::uint16_t>(q);
         }
         mark(idx);
-        prev = idx;
     }
 
-    const std::uint64_t colorChanged = r.boundedCount(r.varint(), 2, "color changes");
-    prev = 0;
-    for (std::uint64_t k = 0; k < colorChanged; ++k) {
-        const std::uint64_t gap = r.varint();
-        const std::uint64_t idx = k == 0 ? gap : prev + 1 + gap;
-        if (idx >= nodes) throw WireError("color index out of range");
-        const std::uint64_t pi = r.varint();
-        if (pi >= view.palette.size()) throw WireError("palette index out of range");
-        view.colorIndex[idx] = static_cast<std::uint32_t>(pi);
-        mark(idx);
-        prev = idx;
-    }
+    // Palette growth ships ahead of the indices that reference it.
+    readColorSection(r, v, view0Colors, [&](ByteReader& cr) {
+        readPalette(cr, view.palette, cr.boundedCount(cr.varint(), 3, "palette growth"));
+        cr.indexSet(nodes, 1, "color changes", changedIdx_);
+        for (const auto idx : changedIdx_) {
+            const std::uint64_t pi = cr.varint();
+            if (pi >= view.palette.size()) throw WireError("palette index out of range");
+            view.colorIndex[idx] = static_cast<std::uint32_t>(pi);
+            mark(idx);
+        }
+    });
 
     // Score changes update the hover text of the same marker in every view.
     for (const auto idx : scoreChangedIdx_) mark(idx);
@@ -547,6 +596,8 @@ Bytes DeltaEncoder::encode(const std::vector<const viz::Scene*>& views,
         if (deltaCost >= keyframeCost) {
             stats_.keyframe = true;
             stats_.reason = "cost";
+            stats_.bitmapSets = 0; // the discarded delta's codings
+            stats_.colorBackRefs = 0;
             // The cost trigger is only discovered here, after the delta
             // attempt — fetch the LOD mapping now. This is the fig 7
             // worst-case jump the coarse-first path exists for.
@@ -666,27 +717,20 @@ Bytes DeltaEncoder::encodeKeyframe(const std::vector<const viz::Scene*>& views,
     w.varint(edges_.size());
     writeEdgeList(w, edges_);
     for (const float s : scores_) w.f32(s);
-    for (const auto& view : shadow_) {
-        w.string(view.title);
-        w.f64(view.grid.lo.x);
-        w.f64(view.grid.lo.y);
-        w.f64(view.grid.lo.z);
-        w.f64(view.grid.hi.x);
-        w.f64(view.grid.hi.y);
-        w.f64(view.grid.hi.z);
-        w.f64(view.nodeSize);
+    Span view0Colors;
+    for (count v = 0; v < shadow_.size(); ++v) {
+        const ViewState& view = shadow_[v];
+        writeViewHeader(w, view);
         for (const auto& q : view.qpos) {
             w.u16(q[0]);
             w.u16(q[1]);
             w.u16(q[2]);
         }
-        w.varint(view.palette.size());
-        for (const auto& c : view.palette) {
-            w.u8(static_cast<std::uint8_t>(c.r));
-            w.u8(static_cast<std::uint8_t>(c.g));
-            w.u8(static_cast<std::uint8_t>(c.b));
-        }
-        for (const auto ci : view.colorIndex) w.varint(ci);
+        stats_.colorBackRefs += writeColorSection(w, v, view0Colors, [&] {
+            w.varint(view.palette.size());
+            writePalette(w, view.palette, 0);
+            for (const auto ci : view.colorIndex) w.varint(ci);
+        });
     }
     return w.take();
 }
@@ -759,28 +803,20 @@ Bytes DeltaEncoder::encodeLodPair(const std::vector<const viz::Scene*>& views,
     w.varint(lod.coarseEdges.size());
     writeEdgeList(w, lod.coarseEdges);
     for (const float s : coarseScores) w.f32(s);
+    Span view0Colors;
     for (count v = 0; v < views.size(); ++v) {
         const ViewState& view = shadow_[v];
-        w.string(view.title);
-        w.f64(view.grid.lo.x);
-        w.f64(view.grid.lo.y);
-        w.f64(view.grid.lo.z);
-        w.f64(view.grid.hi.x);
-        w.f64(view.grid.hi.y);
-        w.f64(view.grid.hi.z);
-        w.f64(view.nodeSize);
+        writeViewHeader(w, view);
         for (const auto& q : coarseQ[v]) {
             w.u16(q[0]);
             w.u16(q[1]);
             w.u16(q[2]);
         }
-        w.varint(view.palette.size());
-        for (const auto& c : view.palette) {
-            w.u8(static_cast<std::uint8_t>(c.r));
-            w.u8(static_cast<std::uint8_t>(c.g));
-            w.u8(static_cast<std::uint8_t>(c.b));
-        }
-        for (const auto ci : coarseCi[v]) w.varint(ci);
+        stats_.colorBackRefs += writeColorSection(w, v, view0Colors, [&] {
+            w.varint(view.palette.size());
+            writePalette(w, view.palette, 0);
+            for (const auto ci : coarseCi[v]) w.varint(ci);
+        });
     }
     Bytes coarseFrame = w.take();
 
@@ -840,80 +876,60 @@ Bytes DeltaEncoder::encodeDelta(const std::vector<const viz::Scene*>& views,
     writeEdgeList(w, *pendingAdded_);
 
     // Shared scores: bit-pattern compare (NaN-safe) against the shadow.
-    count scoreChanged = 0;
+    changedScratch_.clear();
     for (count i = 0; i < n; ++i) {
         if (floatBits(static_cast<float>(scores[i])) != floatBits(scores_[i]))
-            ++scoreChanged;
+            changedScratch_.push_back(static_cast<node>(i));
     }
-    w.varint(scoreChanged);
-    std::uint64_t prev = 0;
-    bool first = true;
-    for (count i = 0; i < n; ++i) {
-        const float f = static_cast<float>(scores[i]);
-        if (floatBits(f) == floatBits(scores_[i])) continue;
-        w.varint(first ? i : i - prev - 1);
-        w.f32(f);
-        scores_[i] = f;
-        prev = i;
-        first = false;
+    stats_.bitmapSets += w.indexSet(changedScratch_, n);
+    for (const node i : changedScratch_) {
+        scores_[i] = static_cast<float>(scores[i]);
+        w.f32(scores_[i]);
     }
-    stats_.scoresChanged = scoreChanged;
+    stats_.scoresChanged = changedScratch_.size();
 
+    Span view0Colors;
     for (count v = 0; v < views.size(); ++v) {
         ViewState& view = shadow_[v];
         const viz::Scene& scene = *views[v];
 
-        // Colors first: mapping may grow the palette, and the growth ships
-        // ahead of the indices that reference it.
-        colorIdxScratch_.resize(n);
-        const count oldPalette = view.palette.size();
-        for (count i = 0; i < n; ++i)
-            colorIdxScratch_[i] = paletteIndexOf(v, scene.nodeColors[i]);
-        w.varint(view.palette.size() - oldPalette);
-        for (count p = oldPalette; p < view.palette.size(); ++p) {
-            w.u8(static_cast<std::uint8_t>(view.palette[p].r));
-            w.u8(static_cast<std::uint8_t>(view.palette[p].g));
-            w.u8(static_cast<std::uint8_t>(view.palette[p].b));
-        }
-
         qScratch_.resize(n);
-        count posChanged = 0;
+        changedScratch_.clear();
         for (count i = 0; i < n; ++i) {
             qScratch_[i] = view.grid.quantize(scene.nodePositions[i]);
-            if (qScratch_[i] != view.qpos[i]) ++posChanged;
+            if (qScratch_[i] != view.qpos[i]) changedScratch_.push_back(static_cast<node>(i));
         }
-        w.varint(posChanged);
-        prev = 0;
-        first = true;
-        for (count i = 0; i < n; ++i) {
-            if (qScratch_[i] == view.qpos[i]) continue;
-            w.varint(first ? i : i - prev - 1);
+        stats_.bitmapSets += w.indexSet(changedScratch_, n);
+        for (const node i : changedScratch_) {
             for (int a = 0; a < 3; ++a) {
                 w.svarint(static_cast<std::int64_t>(qScratch_[i][a]) -
                           static_cast<std::int64_t>(view.qpos[i][a]));
             }
             view.qpos[i] = qScratch_[i];
-            prev = i;
-            first = false;
         }
-        stats_.positionsChanged += posChanged;
+        stats_.positionsChanged += changedScratch_.size();
 
-        count colorChanged = 0;
+        // Mapping colours may grow the palette; the growth ships ahead of
+        // the indices that reference it.
+        colorIdxScratch_.resize(n);
+        const count oldPalette = view.palette.size();
+        changedScratch_.clear();
         for (count i = 0; i < n; ++i) {
-            if (colorIdxScratch_[i] != view.colorIndex[i]) ++colorChanged;
+            colorIdxScratch_[i] = paletteIndexOf(v, scene.nodeColors[i]);
+            if (colorIdxScratch_[i] != view.colorIndex[i])
+                changedScratch_.push_back(static_cast<node>(i));
         }
-        w.varint(colorChanged);
-        prev = 0;
-        first = true;
-        for (count i = 0; i < n; ++i) {
-            if (colorIdxScratch_[i] == view.colorIndex[i]) continue;
-            w.varint(first ? i : i - prev - 1);
-            w.varint(colorIdxScratch_[i]);
-            view.colorIndex[i] = colorIdxScratch_[i];
-            prev = i;
-            first = false;
-        }
-        stats_.colorsChanged += colorChanged;
+        bool colorBitmap = false;
+        const bool backRef = writeColorSection(w, v, view0Colors, [&] {
+            w.varint(view.palette.size() - oldPalette);
+            writePalette(w, view.palette, oldPalette);
+            colorBitmap = w.indexSet(changedScratch_, n);
+            for (const node i : changedScratch_) w.varint(colorIdxScratch_[i]);
+        });
+        stats_.colorBackRefs += backRef;
+        stats_.bitmapSets += colorBitmap && !backRef;
+        for (const node i : changedScratch_) view.colorIndex[i] = colorIdxScratch_[i];
+        stats_.colorsChanged += changedScratch_.size();
     }
     return w.take();
 }

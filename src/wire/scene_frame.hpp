@@ -16,7 +16,17 @@ namespace rinkit::wire {
 
 /// "RWF1" little-endian.
 inline constexpr std::uint32_t kFrameMagic = 0x31465752u;
-inline constexpr std::uint8_t kFrameVersion = 1;
+/// Version 2: bitmap-or-gap changed-index sets and colour back-references
+/// (wire_format.hpp, DESIGN.md "Wire protocol"). Other versions are rejected.
+inline constexpr std::uint8_t kFrameVersion = 2;
+
+/// Mode byte that opens every view's colour section (keyframe: palette plus
+/// one index per node; delta: palette growth plus changed indices). A view
+/// whose section would be byte-identical to view 0's ships kColorsAsView0
+/// alone, and the decoder applies view 0's bytes to it a second time.
+/// View 0 itself must be inline.
+inline constexpr std::uint8_t kColorsInline = 0;
+inline constexpr std::uint8_t kColorsAsView0 = 1;
 
 /// Frame flag bits. A level-of-detail (LOD) coarse keyframe
 /// (kFlagKeyframe | kFlagLodCoarse) opens an epoch like a keyframe but
@@ -133,11 +143,19 @@ public:
     void reset();
 
 private:
+    /// Byte span [first, second) of view 0's inline colour section in the
+    /// frame being decoded, for the other views' back-references.
+    using Span = std::pair<std::size_t, std::size_t>;
+
     PatchStats applyChecked(ByteReader& r, std::size_t frameBytes);
-    void readKeyframeView(ByteReader& r, ViewState& view, count nodes);
-    void readLodKeyframeView(ByteReader& r, ViewState& view, count nodes,
-                             const std::vector<node>& fineToCoarse, count coarseNodes);
-    count readDeltaView(ByteReader& r, ViewState& view, count nodes);
+    void readViewHeader(ByteReader& r, ViewState& view);
+    void readKeyframeView(ByteReader& r, ViewState& view, count v, count nodes,
+                          Span& view0Colors);
+    void readLodKeyframeView(ByteReader& r, ViewState& view, count v, count nodes,
+                             const std::vector<node>& fineToCoarse, count coarseNodes,
+                             Span& view0Colors);
+    count readDeltaView(ByteReader& r, ViewState& view, count v, count nodes,
+                        Span& view0Colors);
 
     bool hasState_ = false;
     std::uint32_t epoch_ = 0;
@@ -147,7 +165,7 @@ private:
     std::vector<float> scores_;
     // Delta scratch, reused across frames.
     std::vector<std::pair<node, node>> addScratch_, removeScratch_, mergeScratch_;
-    std::vector<std::uint64_t> scoreChangedIdx_;
+    std::vector<std::uint64_t> scoreChangedIdx_, changedIdx_;
     // Distinct-marker counting scratch: stamp[i] == generation marks node i
     // already counted for the current view.
     std::vector<std::uint32_t> touchStamp_;
@@ -202,6 +220,8 @@ public:
         count scoresChanged = 0;
         count lodCoarseNodes = 0; ///< clusters in the coarse keyframe
         count lodLevels = 0;      ///< refine depth (composed hierarchy levels)
+        count bitmapSets = 0;     ///< changed-index sets shipped as bitmaps
+        count colorBackRefs = 0;  ///< views whose colours repeat view 0's bytes
     };
 
     /// Lazily supplies the coarsening of the *current* scene graph; only
@@ -282,6 +302,7 @@ private:
     // Diff / merge scratch, reused across frames.
     std::vector<std::pair<node, node>> addScratch_, removeScratch_, mergeScratch_;
     std::vector<std::uint32_t> colorIdxScratch_;
+    std::vector<node> changedScratch_;
     std::vector<std::array<std::uint16_t, 3>> qScratch_;
     FrameStats stats_;
     // LOD pair state: the stashed refine delta and its stats.

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -13,6 +15,22 @@ namespace rinkit::wire {
 
 /// Raw frame payload as shipped over the (simulated) websocket.
 using Bytes = std::vector<std::uint8_t>;
+
+// Frame format version 2 (kFrameVersion in scene_frame.hpp; the full layout
+// is in DESIGN.md "Wire protocol"). Two codings distinguish it from version
+// 1, which decoders reject as an unsupported version:
+//
+//  - Changed-index sets (delta scores, per-view positions and colours) open
+//    with varint(count << 1 | mode). Mode 0 is `count` gap varints (the
+//    first index, then index - previous - 1); mode 1 is a ceil(n / 8)-byte
+//    bitmap, bit i (byte i / 8, LSB first) set for changed node i. The
+//    encoder picks whichever is shorter, so dense sets (every node moved)
+//    cost n / 8 bytes instead of ~n. The per-item values follow the set, in
+//    index order, in both modes.
+//    ByteWriter::indexSet / ByteReader::indexSet below implement it.
+//  - Colour sections (scene_frame.cpp) open with a mode byte: inline, or a
+//    back-reference meaning "view 0's colour bytes again". Both views of
+//    the widget colour nodes identically, so view 1 ships one byte.
 
 /// Thrown by the decoder on any malformed input: truncated buffer, bad
 /// magic/version, out-of-range index, or a delta whose base does not match
@@ -77,6 +95,28 @@ public:
 
     void svarint(std::int64_t v) { varint(zigzagEncode(v)); }
 
+    /// Changed-index set over @p n nodes (@p idx ascending, each < n) in the
+    /// shorter of the two codings described at the top of this file.
+    /// Returns true when it shipped as a bitmap.
+    bool indexSet(const std::vector<node>& idx, count n) {
+        std::size_t gapBytes = 0;
+        for (std::size_t k = 0; k < idx.size(); ++k)
+            gapBytes += varintSize(k == 0 ? idx[0] : idx[k] - idx[k - 1] - 1);
+        const std::size_t bitmapBytes = (n + 7) / 8;
+        const bool bitmap = bitmapBytes < gapBytes;
+        varint((static_cast<std::uint64_t>(idx.size()) << 1) | (bitmap ? 1u : 0u));
+        if (bitmap) {
+            const std::size_t at = out_.size();
+            out_.resize(at + bitmapBytes, 0);
+            for (const node i : idx)
+                out_[at + i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+        } else {
+            for (std::size_t k = 0; k < idx.size(); ++k)
+                varint(k == 0 ? idx[0] : idx[k] - idx[k - 1] - 1);
+        }
+        return bitmap;
+    }
+
     /// varint length prefix + raw bytes.
     void string(std::string_view s) {
         varint(s.size());
@@ -84,10 +124,18 @@ public:
     }
 
     std::size_t size() const { return out_.size(); }
+    /// Drops everything written after the first @p size bytes.
+    void truncate(std::size_t size) { out_.resize(std::min(size, out_.size())); }
     Bytes take() { return std::move(out_); }
     const Bytes& bytes() const { return out_; }
 
 private:
+    static std::size_t varintSize(std::uint64_t v) {
+        std::size_t bytes = 1;
+        for (; v >= 0x80; v >>= 7) ++bytes;
+        return bytes;
+    }
+
     Bytes out_;
 };
 
@@ -101,6 +149,14 @@ public:
 
     std::size_t remaining() const { return size_ - pos_; }
     bool done() const { return pos_ == size_; }
+    std::size_t offset() const { return pos_; }
+
+    /// A reader over bytes [from, to) of the same buffer, for parsing an
+    /// already-validated span a second time.
+    ByteReader slice(std::size_t from, std::size_t to) const {
+        if (from > to || to > size_) throw WireError("slice out of range");
+        return ByteReader(data_ + from, to - from);
+    }
 
     std::uint8_t u8() {
         need(1, "u8");
@@ -178,6 +234,50 @@ public:
             throw WireError(std::string("count of ") + what + " exceeds frame size");
         }
         return n;
+    }
+
+    /// Reads a changed-index set over @p n nodes (the coding is described at
+    /// the top of this file) into @p out, ascending. @p valueBytes is the
+    /// minimum encoded size of the value that follows each index: the count
+    /// is bounded by the bytes left with it, plus one gap byte per item in
+    /// gap mode. Throws on a gap or bit at or beyond n, a bitmap whose
+    /// popcount differs from the count, or a truncated set.
+    void indexSet(std::uint64_t n, std::size_t valueBytes, const char* what,
+                  std::vector<std::uint64_t>& out) {
+        out.clear();
+        const std::uint64_t header = varint();
+        const std::uint64_t k = header >> 1;
+        if ((header & 1) == 0) {
+            boundedCount(k, 1 + valueBytes, what);
+            out.reserve(k);
+            for (std::uint64_t j = 0; j < k; ++j) {
+                const std::uint64_t gap = varint();
+                // gap < n also keeps prev + 1 + gap from wrapping.
+                if (gap >= n) throw WireError(std::string(what) + ": index out of range");
+                const std::uint64_t i = j == 0 ? gap : out.back() + 1 + gap;
+                if (i >= n) throw WireError(std::string(what) + ": index out of range");
+                out.push_back(i);
+            }
+            return;
+        }
+        const std::uint64_t bitmapBytes = n / 8 + (n % 8 != 0 ? 1 : 0);
+        need(bitmapBytes, "index bitmap");
+        const std::uint8_t* bits = data_ + pos_;
+        pos_ += bitmapBytes;
+        if (n % 8 != 0 && (bits[bitmapBytes - 1] >> (n % 8)) != 0)
+            throw WireError(std::string(what) + ": bitmap bit beyond node count");
+        boundedCount(k, valueBytes, what);
+        const auto mismatch = [what] {
+            return WireError(std::string(what) + ": bitmap popcount mismatch");
+        };
+        out.reserve(k);
+        for (std::uint64_t b = 0; b < bitmapBytes; ++b) {
+            for (unsigned byte = bits[b]; byte != 0; byte &= byte - 1) {
+                if (out.size() == k) throw mismatch(); // before growing past k
+                out.push_back(b * 8 + static_cast<unsigned>(std::countr_zero(byte)));
+            }
+        }
+        if (out.size() != k) throw mismatch();
     }
 
     void expectEnd() const {

@@ -1,10 +1,12 @@
 // File-based I/O round trips and failure injection: unreadable paths,
-// truncated files, and cross-format consistency on disk.
+// truncated files, hostile headers and ids, and cross-format consistency
+// on disk.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <unistd.h>
 
 #include "src/core/rin_explorer.hpp"
@@ -68,6 +70,46 @@ TEST_F(TempDir, TruncatedXyzRejected) {
     std::ofstream(path("trunc.xyz")) << protein.atomCount() << "\nframe 0\nC 0 0 0\n";
     EXPECT_THROW(md::io::readXyzTrajectoryFile(path("trunc.xyz"), protein),
                  std::runtime_error);
+}
+
+// Hostile headers and ids: each used to escape as std::bad_alloc (a huge
+// allocation sized from the input) or be accepted silently.
+
+TEST(HostileFileInputs, EdgeListRejectsNegativeIds) {
+    std::istringstream in("-1 2\n");
+    EXPECT_THROW(io::readEdgeList(in), std::runtime_error);
+    std::istringstream in2("0 1\n3 -7\n");
+    EXPECT_THROW(io::readEdgeList(in2), std::runtime_error);
+}
+
+TEST(HostileFileInputs, EdgeListRejectsIdsAtOrAboveGivenNodeCount) {
+    std::istringstream in("0 1\n1 4\n");
+    EXPECT_THROW(io::readEdgeList(in, 4), std::runtime_error);
+    std::istringstream ok("0 1\n1 3\n");
+    EXPECT_EQ(io::readEdgeList(ok, 4).numberOfEdges(), 2u);
+}
+
+TEST(HostileFileInputs, MetisHeaderBoundedByRemainingInput) {
+    std::istringstream nodes("99999999999 1\n2\n1\n");
+    EXPECT_THROW(io::readMetis(nodes), std::runtime_error);
+    std::istringstream edges("2 99999999999\n2\n1\n");
+    EXPECT_THROW(io::readMetis(edges), std::runtime_error);
+    std::istringstream honest("2 1\n2\n1\n");
+    EXPECT_EQ(io::readMetis(honest).numberOfEdges(), 1u);
+}
+
+TEST(HostileFileInputs, PdbRejectsNonFiniteCoordinates) {
+    std::ostringstream out;
+    md::io::writePdb(md::chignolin(), out);
+    const std::string pdb = out.str();
+    for (const char* bad : {"     nan", "     inf", "    -inf"}) {
+        std::string text = pdb;
+        text.replace(38, 8, bad); // y of the first ATOM record
+        std::istringstream in(text);
+        EXPECT_THROW(md::io::readPdb(in, "bad"), std::runtime_error) << bad;
+    }
+    std::istringstream in(pdb);
+    EXPECT_EQ(md::io::readPdb(in, "ok").size(), md::chignolin().size());
 }
 
 TEST_F(TempDir, PdbFileRoundTripViaDisk) {

@@ -1,7 +1,8 @@
 // Tests for the binary wire protocol (rinkit::wire): primitive codec
 // round-trips, keyframe/delta scene-frame round-trips, the delta-stream ==
-// keyframe bit-identity invariant, resync/keyframe triggers, and
-// hostile-input rejection (truncation, byte flips, bad headers). The
+// keyframe bit-identity invariant, bitmap index sets and shared colour
+// sections, resync/keyframe triggers, and hostile-input rejection
+// (truncation, byte flips, bad headers, malformed bitmaps). The
 // robustness tests double as the ASan/UBSan fuzz target that
 // scripts/verify.sh --wire runs.
 #include <gtest/gtest.h>
@@ -94,6 +95,48 @@ TEST(WireFormat, BoundedCountRejectsDishonestCounts) {
     EXPECT_THROW(r.boundedCount(5, 4, "items"), WireError);
     // A hostile count near 2^64 must not overflow the check either.
     EXPECT_THROW(r.boundedCount(~0ull, 4, "items"), WireError);
+}
+
+TEST(WireFormat, IndexSetPicksTheShorterCodingAndRoundTrips) {
+    const count n = 100;
+    std::vector<node> dense, sparse = {3, 97};
+    for (node i = 0; i < n; i += 2) dense.push_back(i);
+    std::vector<std::uint64_t> got;
+
+    // Each set is followed by one value byte per index, as in a frame.
+    ByteWriter w;
+    EXPECT_TRUE(w.indexSet(dense, n)); // 50 gap bytes vs a 13-byte bitmap
+    EXPECT_EQ(w.size(), 1 + (n + 7) / 8);
+    for (const node i : dense) w.u8(static_cast<std::uint8_t>(i));
+    EXPECT_FALSE(w.indexSet(sparse, n)); // 2 gap bytes vs 13
+    for (const node i : sparse) w.u8(static_cast<std::uint8_t>(i));
+    EXPECT_FALSE(w.indexSet({}, n));
+    ByteReader r(w.bytes());
+    for (const auto* want : {&dense, &sparse}) {
+        r.indexSet(n, 1, "set", got);
+        ASSERT_EQ(got, std::vector<std::uint64_t>(want->begin(), want->end()));
+        for (const auto i : got) EXPECT_EQ(r.u8(), i);
+    }
+    r.indexSet(n, 1, "empty", got);
+    EXPECT_TRUE(got.empty());
+    r.expectEnd();
+}
+
+TEST(WireFormat, IndexSetRejectsHostileBitmapsAndGaps) {
+    const count n = 13; // the last bitmap byte has 3 bits past n
+    std::vector<std::uint64_t> got;
+    const auto read = [&](const Bytes& b) {
+        ByteReader r(b);
+        r.indexSet(n, 1, "set", got);
+    };
+    EXPECT_THROW(read({(1 << 1) | 1, 0x00, 0x20}), WireError); // bit 13 >= n
+    EXPECT_THROW(read({(2 << 1) | 1, 0x01, 0x00}), WireError); // popcount 1, count 2
+    EXPECT_THROW(read({(1 << 1) | 1, 0x01, 0x00}), WireError); // no byte for the value
+    EXPECT_THROW(read({(1 << 1) | 1, 0x01}), WireError);       // truncated bitmap
+    EXPECT_THROW(read({1 << 1, 13}), WireError);               // gap >= n
+    EXPECT_THROW(read({2 << 1, 5, 7}), WireError);             // 5 + 1 + 7 >= n
+    EXPECT_NO_THROW(read({(1 << 1) | 1, 0x00, 0x10, 0x00}));   // bit 12, one value byte
+    EXPECT_EQ(got, (std::vector<std::uint64_t>{12}));
 }
 
 TEST(WireFormat, StringLengthCapEnforced) {
@@ -198,6 +241,36 @@ struct TestWorld {
     }
 };
 
+/// TestWorld with one colour vector for both views, as RinWidget ships
+/// them: a node's colour comes from its score, not from the layout.
+struct SharedColorWorld : TestWorld {
+    SharedColorWorld() {
+        colB = colA;
+        for (count i = 0; i < kNodes; ++i) colorId.push_back(i % 5);
+    }
+
+    /// Moves every node in view A and every @p strideB-th node in view B
+    /// by a few quantization steps, recolours every @p recolorStride-th
+    /// node and changes every @p scoreStride-th score: the shape of a
+    /// widget update, where small layout moves touch every marker.
+    void denseStep(count strideB, count recolorStride, count scoreStride) {
+        sign = -sign;
+        for (count i = 0; i < kNodes; ++i) {
+            posA[i] = posA[i] + Point3{0.004 * sign, -0.003 * sign, 0.002 * sign};
+            if (i % strideB == 0) posB[i] = posB[i] + Point3{-0.002 * sign, 0.003 * sign, 0.0};
+            if (i % recolorStride == 0) {
+                colorId[i] = (colorId[i] + 1) % 5;
+                colA[i] = colorOf(colorId[i]);
+            }
+            if (i % scoreStride == 0) scores[i] += 0.5;
+        }
+        colB = colA;
+    }
+
+    double sign = 1.0;
+    std::vector<count> colorId; ///< colA[i] == colorOf(colorId[i])
+};
+
 Bytes encodeWorld(DeltaEncoder& enc, const TestWorld& w, Ack ack,
                   const EdgeDiffHint* hint = nullptr) {
     const auto a = w.sceneA();
@@ -296,6 +369,180 @@ TEST(SceneFrame, DeltaStreamMatchesKeyframeBitForBit) {
         EXPECT_EQ(kf.title, dl.title);
         EXPECT_EQ(kf.nodeSize, dl.nodeSize);
     }
+}
+
+// ------------------------------------------ dense sets and shared colours
+
+void writeGapSet(ByteWriter& w, const std::vector<node>& idx) {
+    w.varint(static_cast<std::uint64_t>(idx.size()) << 1);
+    for (std::size_t k = 0; k < idx.size(); ++k)
+        w.varint(k == 0 ? idx[0] : idx[k] - idx[k - 1] - 1);
+}
+
+/// Test-local reference encoder: the delta that moves decoder state
+/// @p before to @p after (same edge set) with every index set gap-coded
+/// and every colour section inline — frame version 2 with both of its
+/// savings switched off.
+Bytes referenceDelta(const FrameDecoder& before, const FrameDecoder& after) {
+    const count n = before.scores().size();
+    ByteWriter w;
+    w.u32(kFrameMagic);
+    w.u8(kFrameVersion);
+    w.u8(0);
+    w.u32(after.ack().epoch);
+    w.u32(after.ack().seq);
+    w.varint(n);
+    w.varint(before.views().size());
+    w.varint(0); // removed edges
+    w.varint(0); // added edges
+    std::vector<node> idx;
+    for (node i = 0; i < n; ++i)
+        if (before.scores()[i] != after.scores()[i]) idx.push_back(i);
+    writeGapSet(w, idx);
+    for (const node i : idx) w.f32(after.scores()[i]);
+    for (count v = 0; v < before.views().size(); ++v) {
+        const ViewState& b = before.views()[v];
+        const ViewState& a = after.views()[v];
+        idx.clear();
+        for (node i = 0; i < n; ++i)
+            if (b.qpos[i] != a.qpos[i]) idx.push_back(i);
+        writeGapSet(w, idx);
+        for (const node i : idx)
+            for (int axis = 0; axis < 3; ++axis) w.svarint(a.qpos[i][axis] - b.qpos[i][axis]);
+        w.u8(kColorsInline);
+        w.varint(a.palette.size() - b.palette.size());
+        for (count p = b.palette.size(); p < a.palette.size(); ++p) {
+            w.u8(static_cast<std::uint8_t>(a.palette[p].r));
+            w.u8(static_cast<std::uint8_t>(a.palette[p].g));
+            w.u8(static_cast<std::uint8_t>(a.palette[p].b));
+        }
+        idx.clear();
+        for (node i = 0; i < n; ++i)
+            if (b.colorIndex[i] != a.colorIndex[i]) idx.push_back(i);
+        writeGapSet(w, idx);
+        for (const node i : idx) w.varint(a.colorIndex[i]);
+    }
+    return w.take();
+}
+
+void expectSameState(const FrameDecoder& x, const FrameDecoder& y) {
+    EXPECT_EQ(x.ack(), y.ack());
+    EXPECT_EQ(x.edges(), y.edges());
+    EXPECT_EQ(x.scores(), y.scores());
+    ASSERT_EQ(x.views().size(), y.views().size());
+    for (count v = 0; v < x.views().size(); ++v) {
+        EXPECT_EQ(x.views()[v].qpos, y.views()[v].qpos) << "view " << v;
+        EXPECT_EQ(x.views()[v].colorIndex, y.views()[v].colorIndex) << "view " << v;
+        EXPECT_EQ(x.views()[v].palette, y.views()[v].palette) << "view " << v;
+    }
+}
+
+TEST(SceneFrame, DenseDeltaUsesBitmapsAndColourBackReference) {
+    SharedColorWorld w;
+    DeltaEncoder enc;
+    FrameDecoder dec;
+    dec.apply(encodeWorld(enc, w, Ack{}));
+    EXPECT_EQ(enc.lastStats().colorBackRefs, 1u); // keyframes share too
+    const FrameDecoder before = dec;
+
+    w.denseStep(1, 2, 1);
+    const Bytes frame = encodeWorld(enc, w, dec.ack());
+    const auto stats = enc.lastStats();
+    ASSERT_FALSE(stats.keyframe);
+    EXPECT_EQ(stats.positionsChanged, 2 * TestWorld::kNodes);
+    EXPECT_EQ(stats.scoresChanged, TestWorld::kNodes);
+    EXPECT_EQ(stats.colorsChanged, TestWorld::kNodes); // 24 per view, summed
+    // Scores, both position sets and view 0's colours ship as bitmaps;
+    // view 1's colours are the one-byte back-reference.
+    EXPECT_EQ(stats.bitmapSets, 4u);
+    EXPECT_EQ(stats.colorBackRefs, 1u);
+    const PatchStats patch = dec.apply(frame);
+    EXPECT_EQ(patch.markersTouched, 2 * TestWorld::kNodes);
+
+    // The same change with both savings off decodes to the same state and
+    // costs at least 25% more.
+    const Bytes reference = referenceDelta(before, dec);
+    FrameDecoder viaReference = before;
+    viaReference.apply(reference);
+    expectSameState(viaReference, dec);
+    EXPECT_LE(frame.size() * 10, reference.size() * 8)
+        << frame.size() << " vs reference " << reference.size();
+}
+
+TEST(SceneFrame, SparseDeltaStaysGapCoded) {
+    SharedColorWorld w;
+    DeltaEncoder enc;
+    FrameDecoder dec;
+    dec.apply(encodeWorld(enc, w, Ack{}));
+    const FrameDecoder before = dec;
+    w.posA[17].x += 0.5;
+    w.posB[17].y -= 0.5;
+    w.colA[17] = w.colB[17] = viz::Color{1, 2, 3};
+    w.scores[17] += 1.0;
+    const Bytes frame = encodeWorld(enc, w, dec.ack());
+    ASSERT_FALSE(enc.lastStats().keyframe);
+    EXPECT_EQ(enc.lastStats().bitmapSets, 0u);
+    EXPECT_EQ(enc.lastStats().colorBackRefs, 1u);
+    dec.apply(frame);
+    // Gap-coded, a one-node change costs what the reference pays, minus
+    // view 1's colour section (mode byte, palette growth, one change).
+    const Bytes reference = referenceDelta(before, dec);
+    EXPECT_EQ(frame.size(), reference.size() - (1 + 1 + 3 + 1 + 1 + 1) + 1);
+}
+
+TEST(SceneFrame, DenseDeltaTouchesTheSameElementsAsVersion1) {
+    SharedColorWorld w;
+    DeltaEncoder enc;
+    FrameDecoder dec;
+    dec.apply(encodeWorld(enc, w, Ack{}));
+    w.denseStep(2, 3, 5);
+    w.edges.erase(w.edges.begin() + 3); // one removed edge
+    const PatchStats patch = dec.apply(encodeWorld(enc, w, dec.ack()));
+    EXPECT_GT(enc.lastStats().bitmapSets, 0u);
+    EXPECT_EQ(enc.lastStats().colorBackRefs, 1u);
+
+    // Version 1 counted, per view, every distinct marker with a position,
+    // colour or score change, plus each added/removed edge once per view.
+    // View A moves every node; view B moves every 2nd and shares the
+    // colours (every 3rd) and scores (every 5th).
+    count viewB = 0;
+    for (count i = 0; i < TestWorld::kNodes; ++i)
+        viewB += (i % 2 == 0 || i % 3 == 0 || i % 5 == 0) ? 1 : 0;
+    EXPECT_EQ(patch.markersTouched, TestWorld::kNodes + viewB);
+    EXPECT_EQ(patch.elementsTouched(), TestWorld::kNodes + viewB + 2 * 1);
+}
+
+TEST(SceneFrame, MinimalSharedColourKeyframeAccepted) {
+    // 2 views, 0 edges, one colour: per node, a 4-byte score, 2 x 6 bytes
+    // of position and view 0's one-byte colour index. Version 1's bound of
+    // 4 + 7 x views bytes per node would reject this honest frame.
+    const count n = 256;
+    viz::Scene a, b;
+    for (count i = 0; i < n; ++i) {
+        a.nodePositions.push_back({static_cast<double>(i), 0.0, 1.0});
+        b.nodePositions.push_back({0.0, static_cast<double>(i), 2.0});
+    }
+    a.nodeColors.assign(n, viz::Color{9, 9, 9});
+    b.nodeColors = a.nodeColors;
+    a.nodeSizes = b.nodeSizes = {6.0};
+    a.title = "p";
+    b.title = "m";
+    const std::vector<double> scores(n, 1.0);
+    DeltaEncoder enc;
+    const Bytes frame = enc.encode({&a, &b}, scores, Ack{}, nullptr);
+    EXPECT_EQ(enc.lastStats().colorBackRefs, 1u);
+
+    const std::size_t header = 4 + 1 + 1 + 4 + 4 + 2 + 1; // n = 256: 2-byte varint
+    const std::size_t views = 2 * (2 + 6 * 8 + 8);          // title, grid, node size
+    const std::size_t colors = (1 + 1 + 3) + 1;             // view 0 palette, view 1 ref
+    EXPECT_EQ(frame.size(), header + 1 + views + colors + n * (4 + 2 * 6 + 1));
+    EXPECT_LT(frame.size() - header, n * (4 + 7 * 2));
+
+    FrameDecoder dec;
+    const PatchStats stats = dec.apply(frame);
+    EXPECT_TRUE(stats.keyframe);
+    EXPECT_EQ(dec.views()[1].resolvedColors(), b.nodeColors);
+    EXPECT_EQ(dec.views()[1].palette, dec.views()[0].palette);
 }
 
 // ----------------------------------------------------- keyframe triggers
@@ -555,6 +802,124 @@ TEST(SceneFrame, HostileCountsRejected) {
     views.varint(1);
     views.varint(65); // view count above the cap
     EXPECT_THROW(dec.apply(views.take()), WireError);
+}
+
+/// Hand-built version 2 frames over 13 nodes (the last bitmap byte has
+/// bits past n) and 2 views: an honest keyframe, then hostile deltas.
+struct HandFrames {
+    static constexpr count kNodes = 13;
+
+    static ByteWriter header(bool keyframe, std::uint32_t seq) {
+        ByteWriter w;
+        w.u32(kFrameMagic);
+        w.u8(kFrameVersion);
+        w.u8(keyframe ? kFlagKeyframe : 0);
+        w.u32(1);
+        w.u32(seq);
+        w.varint(kNodes);
+        w.varint(2);
+        return w;
+    }
+
+    /// @p view0Mode is view 0's colour mode byte; view 1 back-references.
+    static Bytes keyframe(std::uint8_t view0Mode = kColorsInline) {
+        ByteWriter w = header(true, 0);
+        w.varint(0); // edges
+        for (count i = 0; i < kNodes; ++i) w.f32(1.0f);
+        for (int v = 0; v < 2; ++v) {
+            w.string("v");
+            for (int k = 0; k < 3; ++k) w.f64(0.0);
+            for (int k = 0; k < 3; ++k) w.f64(1.0);
+            w.f64(6.0);
+            for (count i = 0; i < 3 * kNodes; ++i) w.u16(7);
+            if (v == 1) {
+                w.u8(kColorsAsView0);
+                continue;
+            }
+            w.u8(view0Mode);
+            w.varint(2); // palette
+            for (int k = 0; k < 6; ++k) w.u8(static_cast<std::uint8_t>(k));
+            for (count i = 0; i < kNodes; ++i) w.varint(i % 2);
+        }
+        return w.take();
+    }
+
+    /// Delta whose score set is the raw bytes @p scoreSet followed by
+    /// @p scoreValues f32s; positions unchanged; colours per @p view0Mode.
+    static Bytes delta(const Bytes& scoreSet, count scoreValues,
+                       std::uint8_t view0Mode = kColorsInline) {
+        ByteWriter w = header(false, 1);
+        w.varint(0); // removed edges
+        w.varint(0); // added edges
+        for (const auto b : scoreSet) w.u8(b);
+        for (count k = 0; k < scoreValues; ++k) w.f32(2.0f);
+        for (int v = 0; v < 2; ++v) {
+            w.varint(0); // no position changes
+            if (v == 1) {
+                w.u8(kColorsAsView0);
+                continue;
+            }
+            w.u8(view0Mode);
+            w.varint(0); // no palette growth
+            w.varint(1 << 1); // one colour change, gap-coded
+            w.varint(4);
+            w.varint(1);
+        }
+        return w.take();
+    }
+};
+
+TEST(SceneFrame, HandBuiltVersion2FramesDecode) {
+    FrameDecoder dec;
+    dec.apply(HandFrames::keyframe());
+    EXPECT_EQ(dec.views()[1].colorIndex, dec.views()[0].colorIndex);
+    EXPECT_EQ(dec.views()[1].palette, dec.views()[0].palette);
+    // Bits 0 and 12 as a bitmap, then two scores.
+    const PatchStats stats = dec.apply(HandFrames::delta({(2 << 1) | 1, 0x01, 0x10}, 2));
+    EXPECT_EQ(dec.scores()[0], 2.0f);
+    EXPECT_EQ(dec.scores()[12], 2.0f);
+    EXPECT_EQ(dec.scores()[1], 1.0f);
+    EXPECT_EQ(dec.views()[1].colorIndex[4], 1u);
+    EXPECT_EQ(stats.markersTouched, 2 * 3u); // nodes 0, 4 and 12 in both views
+}
+
+TEST(SceneFrame, HostileVersion2InputsRejectedAndStateDropped) {
+    const Bytes hostile[] = {
+        HandFrames::delta({(1 << 1) | 1, 0x00, 0x20}, 1),   // bit 13 >= n
+        HandFrames::delta({(2 << 1) | 1, 0x01, 0x00}, 2),   // popcount 1, count 2
+        HandFrames::delta({0}, 0, kColorsAsView0),           // back-reference on view 0
+        HandFrames::delta({0}, 0, 7),                        // unknown colour mode
+    };
+    for (std::size_t k = 0; k < std::size(hostile); ++k) {
+        FrameDecoder dec;
+        dec.apply(HandFrames::keyframe());
+        EXPECT_THROW(dec.apply(hostile[k]), WireError) << "case " << k;
+        EXPECT_FALSE(dec.hasState()) << "case " << k;
+        EXPECT_EQ(dec.ack(), Ack{});
+    }
+    // A frame that ends inside the score bitmap (2 bytes for 13 nodes).
+    ByteWriter cut = HandFrames::header(false, 1);
+    cut.varint(0);
+    cut.varint(0);
+    cut.varint((1 << 1) | 1);
+    cut.u8(0x01);
+    FrameDecoder dec;
+    dec.apply(HandFrames::keyframe());
+    EXPECT_THROW(dec.apply(cut.take()), WireError);
+    EXPECT_FALSE(dec.hasState());
+
+    EXPECT_THROW(dec.apply(HandFrames::keyframe(kColorsAsView0)), WireError);
+    EXPECT_FALSE(dec.hasState());
+
+    // Version 1 frames are no longer understood.
+    Bytes v1 = HandFrames::keyframe();
+    v1[4] = 1;
+    try {
+        dec.apply(v1);
+        ADD_FAILURE() << "version 1 frame accepted";
+    } catch (const WireError& e) {
+        EXPECT_STREQ(e.what(), "unsupported version");
+    }
 }
 
 // ------------------------------------------------- LOD progressive scenes
