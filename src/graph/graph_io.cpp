@@ -13,10 +13,12 @@ namespace rinkit::io {
 
 namespace {
 
-// Skips METIS comment lines (starting with '%').
-bool nextContentLine(std::istream& in, std::string& line) {
+// Skips METIS comment lines (starting with '%'), and blank lines too when
+// @p skipBlank. Node lines must keep them: an isolated node is written as
+// an empty line.
+bool nextContentLine(std::istream& in, std::string& line, bool skipBlank) {
     while (std::getline(in, line)) {
-        if (!line.empty() && line[0] != '%') return true;
+        if (line.empty() ? !skipBlank : line[0] != '%') return true;
     }
     return false;
 }
@@ -25,7 +27,7 @@ bool nextContentLine(std::istream& in, std::string& line) {
 
 Graph readMetis(std::istream& in) {
     std::string line;
-    if (!nextContentLine(in, line)) {
+    if (!nextContentLine(in, line, /*skipBlank=*/true)) {
         throw std::runtime_error("METIS: missing header line");
     }
     std::istringstream header(line);
@@ -55,7 +57,7 @@ Graph readMetis(std::istream& in) {
 
     Graph g(n, weighted);
     for (node u = 0; u < n; ++u) {
-        if (!nextContentLine(bodyIn, line)) {
+        if (!nextContentLine(bodyIn, line, /*skipBlank=*/false)) {
             throw std::runtime_error("METIS: premature end of file at node " +
                                      std::to_string(u));
         }

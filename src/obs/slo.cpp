@@ -67,7 +67,7 @@ bool isBad(const SloObjectiveSpec& spec, const SloSample& s, bool& relevant) {
             relevant = false;
             return false;
         }
-        return s.servedStale || s.eps > spec.epsBudget;
+        return s.eps > spec.epsBudget;
     }
     relevant = false;
     return false;

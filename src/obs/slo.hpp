@@ -12,12 +12,12 @@ namespace rinkit::obs {
 /// What an objective counts as "bad". All three mirror the serving
 /// layer's user-visible promises: requests finish inside the interactivity
 /// deadline, the service does not refuse work, and degraded answers stay
-/// inside the stated approximation budget (PR 7's ladder: Approx carries
-/// an (epsilon, delta) bound; Stale does not).
+/// inside the stated approximation budget (a degraded answer carries an
+/// (epsilon, delta) bound; the "staleness" objective checks its epsilon).
 enum class SloKind {
     DeadlineAttainment, ///< bad: accepted request finished past its deadline
     ShedRate,           ///< bad: request rejected by admission control
-    StalenessBudget,    ///< bad: served Stale, or approx eps above budget
+    StalenessBudget,    ///< bad: approx eps above budget
 };
 
 /// Severity a burn-rate window pair alerts at.
@@ -80,7 +80,6 @@ struct SloSample {
     bool rejected = false;       ///< admission control refused it
     double latencyMs = 0.0;      ///< queue wait + full update (accepted only)
     double deadlineMs = 0.0;     ///< 0 = no deadline (latency objective skips)
-    bool servedStale = false;    ///< DegradeLevel::Stale answer
     double eps = 0.0;            ///< approximation error served (0 = exact)
 };
 

@@ -79,7 +79,6 @@ const char* degradeLevelName(viz::DegradeLevel level) {
     switch (level) {
     case viz::DegradeLevel::None: return "none";
     case viz::DegradeLevel::Approx: return "approx";
-    case viz::DegradeLevel::Stale: return "stale";
     }
     return "?";
 }
@@ -105,12 +104,11 @@ SessionService::SessionService(Options options) : options_(std::move(options)) {
     //   speculated == spec_hit + spec_miss + spec_cancelled
     // once the pipeline is idle (each enqueued task resolves exactly once).
     for (const char* name : {"submitted", "completed", "coalesced", "rejected",
-                             "shed_degraded", "shed_stale", "deadline_missed",
+                             "shed_degraded", "deadline_missed",
                              "sessions_opened", "frames_shipped", "wire_bytes",
                              "wire_keyframes", "wire_delta_frames",
                              "handed_off", "adopted", "sessions_adopted",
                              "measure_tier_exact", "measure_tier_approx",
-                             "measure_tier_stale",
                              "slo_degraded", "speculated", "spec_hit",
                              "spec_miss", "spec_cancelled", "spec_cpu_ms",
                              "lod_pairs_shipped"})
@@ -137,24 +135,27 @@ SessionService::~SessionService() {
 
 void SessionService::shutdown() {
     std::lock_guard<std::mutex> lock(mutex_);
+    yieldSpeculationLocked();
     for (auto& [id, session] : sessions_) {
-        session->specToken.cancel();
         cancelPendingSpeculationLocked(*session);
-        for (auto& request : session->queue) {
-            // One slot = one "rejected" tick: the coalesced waiters of
-            // this slot were already accounted under "coalesced", so
-            // per-slot counting keeps the invariant
-            // submitted + adopted == completed + coalesced + rejected + handed_off.
-            registry_.increment("rejected");
-            RequestOutcome outcome;
-            outcome.status = RequestStatus::Rejected;
-            resolveAll(request, outcome);
-        }
-        totalQueued_ -= session->queue.size();
-        syncLiveLocked();
-        session->queue.clear();
+        rejectQueueLocked(*session);
     }
     sessions_.clear();
+}
+
+void SessionService::rejectQueueLocked(Session& session) {
+    for (auto& request : session.queue) {
+        // One slot = one "rejected" tick: the coalesced waiters of this
+        // slot were already accounted under "coalesced", so per-slot
+        // counting keeps the invariant
+        // submitted + adopted == completed + coalesced + rejected + handed_off.
+        registry_.increment("rejected");
+        RequestOutcome outcome;
+        outcome.status = RequestStatus::Rejected;
+        resolveAll(request, outcome);
+    }
+    totalQueued_ -= session.queue.size();
+    session.queue.clear();
     registry_.gaugeQueueDepth(totalQueued_);
 }
 
@@ -178,19 +179,9 @@ void SessionService::closeSession(SessionId id) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = sessions_.find(id);
     if (it == sessions_.end()) return;
-    Session& session = *it->second;
-    session.specToken.cancel();
-    cancelPendingSpeculationLocked(session);
-    for (auto& request : session.queue) {
-        registry_.increment("rejected"); // per slot; see shutdown()
-        RequestOutcome outcome;
-        outcome.status = RequestStatus::Rejected;
-        resolveAll(request, outcome);
-    }
-    totalQueued_ -= session.queue.size();
-    syncLiveLocked();
-    session.queue.clear();
-    registry_.gaugeQueueDepth(totalQueued_);
+    yieldSpeculationLocked();
+    cancelPendingSpeculationLocked(*it->second);
+    rejectQueueLocked(*it->second);
     // An in-flight request holds its own shared_ptr and finishes normally;
     // erasing the map entry just prevents re-scheduling.
     sessions_.erase(it);
@@ -207,11 +198,12 @@ std::future<RequestOutcome> SessionService::submit(SessionId id, SliderEvent eve
         throw std::invalid_argument("SessionService: unknown session id " + std::to_string(id));
     Session& session = *it->second;
     registry_.increment("submitted");
-    // Real work preempts speculation: fire the token so an in-flight
-    // speculative task yields its worker at the next phase boundary. A
-    // speculation that already completed stays pending — this very request
-    // will judge it.
-    session.specToken.cancel();
+    // Real work preempts speculation: fire the token so a running
+    // speculative solve aborts at its next per-iteration check and the
+    // request waits at most ~one layout sweep, never a whole solve. A
+    // speculation that already completed stays pending — this very
+    // request will judge it hit or miss.
+    yieldSpeculationLocked();
 
     // Latest-wins coalescing: a queued event of the same kind is stale the
     // moment a newer one arrives — overwrite it in place, adopt its
@@ -289,15 +281,7 @@ std::future<RequestOutcome> SessionService::submit(SessionId id, SliderEvent eve
     }
     session.queue.push_back(std::move(request));
     ++totalQueued_;
-    syncLiveLocked();
     registry_.gaugeQueueDepth(totalQueued_);
-    // A real request instantly reclaims the worker its session's
-    // speculation may be holding: firing the token makes the speculative
-    // solve abort at its next per-iteration check, so the request waits at
-    // most ~one layout sweep, never a whole solve. A speculation that
-    // already completed is untouched — it sits pending and this very
-    // request judges it hit or miss.
-    if (session.specQueued) session.specToken.cancel();
     pumpLocked(it->second);
     return future;
 }
@@ -309,7 +293,7 @@ void SessionService::drain() {
 
 void SessionService::waitSpeculationIdle() {
     std::unique_lock<std::mutex> lock(mutex_);
-    specIdle_.wait(lock, [this] { return specTasksQueued_ == 0; });
+    idle_.wait(lock, [this] { return specTasksQueued_ == 0; });
 }
 
 count SessionService::activeSessions() const {
@@ -345,7 +329,7 @@ SessionService::DetachedSession SessionService::extractSession(SessionId id) {
     // as cancelled here, and the widget leaves with its side slots empty —
     // so hit/miss never lands on a replica that never ticked "speculated".
     session->frozen = true;
-    session->specToken.cancel();
+    yieldSpeculationLocked();
     idle_.wait(lock, [&] { return !session->busy; });
     cancelPendingSpeculationLocked(*session);
     session->widget->dropSpeculation();
@@ -356,7 +340,6 @@ SessionService::DetachedSession SessionService::extractSession(SessionId id) {
     detached.queue_ = std::move(session->queue);
     for (count i = 0; i < detached.queue_.size(); ++i) registry_.increment("handed_off");
     totalQueued_ -= detached.queue_.size();
-    syncLiveLocked();
     sessions_.erase(id);
     registry_.gaugeQueueDepth(totalQueued_);
     if (totalQueued_ == 0 && inFlight_ == 0) idle_.notify_all();
@@ -378,6 +361,7 @@ SessionId SessionService::adoptSession(DetachedSession&& detached) {
         0, options_.replicaLabel);
 
     std::lock_guard<std::mutex> lock(mutex_);
+    yieldSpeculationLocked();
     auto session = std::make_shared<Session>();
     session->id = nextId_++;
     session->widget = std::move(detached.widget_);
@@ -385,7 +369,6 @@ SessionId SessionService::adoptSession(DetachedSession&& detached) {
     session->queue = std::move(detached.queue_);
     for (count i = 0; i < session->queue.size(); ++i) registry_.increment("adopted");
     totalQueued_ += session->queue.size();
-    syncLiveLocked();
     registry_.increment("sessions_adopted");
     registry_.gaugeQueueDepth(totalQueued_);
     const SessionId id = session->id;
@@ -406,16 +389,16 @@ viz::DegradeLevel SessionService::minimumDegradeLevel() const {
     return static_cast<viz::DegradeLevel>(minDegradeRank_.load(std::memory_order_relaxed));
 }
 
-void SessionService::syncLiveLocked() {
-    interactiveLive_.store(totalQueued_ + inFlight_, std::memory_order_relaxed);
-}
-
 void SessionService::pumpLocked(const std::shared_ptr<Session>& session) {
     if (session->busy || session->frozen || session->queue.empty()) return;
     session->busy = true;
     ++inFlight_;
-    syncLiveLocked();
     pool_->submit([this, session] { runNext(session); });
+}
+
+void SessionService::yieldSpeculationLocked() {
+    specToken_.cancel();
+    specToken_ = CancelToken();
 }
 
 void SessionService::maybeSpeculateLocked(const std::shared_ptr<Session>& session) {
@@ -434,12 +417,10 @@ void SessionService::maybeSpeculateLocked(const std::shared_ptr<Session>& sessio
     if (totalQueued_ != 0 || inFlight_ != 0) return;
     if (!session->widget->options().speculate) return;
     if (!session->widget->predictNext().valid()) return;
-    session->specToken = CancelToken();
     session->specQueued = true;
     ++specTasksQueued_;
     registry_.increment("speculated");
-    pool_->submitBackground(
-        [this, session, token = session->specToken] { runSpeculation(session, token); });
+    pool_->submit([this, session, token = specToken_] { runSpeculation(session, token); });
 }
 
 void SessionService::cancelPendingSpeculationLocked(Session& session) {
@@ -462,7 +443,7 @@ void SessionService::runSpeculation(std::shared_ptr<Session> session, CancelToke
             session->specQueued = false;
             --specTasksQueued_;
             registry_.increment("spec_cancelled");
-            specIdle_.notify_all();
+            idle_.notify_all();
             return;
         }
         session->busy = true; // same per-session serialization as a request
@@ -473,14 +454,9 @@ void SessionService::runSpeculation(std::shared_ptr<Session> session, CancelToke
     if (!options_.replicaLabel.empty()) span.attr("replica", options_.replicaLabel);
     Timer cpu;
     // Yield at the next phase boundary (or layout iteration) once real
-    // work exists anywhere in the service — queued on the pool, queued on
-    // a session, or already executing. interactiveLive_ is the lock-free
-    // mirror kept by syncLiveLocked(), so this poll never touches mutex_.
-    const auto cancelled = [this, &token] {
-        return token.cancelled() || pool_->interactivePending() ||
-               interactiveLive_.load(std::memory_order_relaxed) != 0;
-    };
-    const bool completed = session->widget->speculate(cancelled);
+    // work exists anywhere in the service: every path that creates it
+    // fires the token under mutex_, after the pre-check above passed.
+    const bool completed = session->widget->speculate([&token] { return token.cancelled(); });
     const double specMs = cpu.elapsedMs();
     span.attr("completed", completed);
     span.attr("spec_ms", specMs);
@@ -502,8 +478,8 @@ void SessionService::runSpeculation(std::shared_ptr<Session> session, CancelToke
         registry_.increment("spec_cancelled");
     }
     pumpLocked(session);
-    specIdle_.notify_all();
-    idle_.notify_all(); // extractSession may be waiting out this task
+    // Wakes waitSpeculationIdle, and extractSession waiting out this task.
+    idle_.notify_all();
 }
 
 void SessionService::resolveAll(detail::QueuedRequest& request, const RequestOutcome& outcome) {
@@ -520,7 +496,6 @@ void SessionService::runNext(std::shared_ptr<Session> session) {
             // closeSession rejected the backlog between scheduling and now.
             session->busy = false;
             --inFlight_;
-            syncLiveLocked();
             idle_.notify_all();
             return;
         }
@@ -528,7 +503,6 @@ void SessionService::runNext(std::shared_ptr<Session> session) {
         session->queue.pop_front();
         depthBehind = session->queue.size();
         --totalQueued_;
-        syncLiveLocked();
         registry_.gaugeQueueDepth(totalQueued_);
         session->appliedLog.push_back(request.event.kind);
     }
@@ -538,24 +512,19 @@ void SessionService::runNext(std::shared_ptr<Session> session) {
     const double deadlineMs =
         request.event.deadlineMs > 0.0 ? request.event.deadlineMs : options_.defaultDeadlineMs;
 
-    // Degradation ladder: a deep backlog sheds this request to Approx
-    // (sampled measures with a stated error bound); an extreme backlog
-    // escalates to Stale (older-version results allowed). A blown queue
-    // deadline degrades to at least Approx (still executed — the client
-    // gets *an* update — but flagged).
+    // Degradation: a deep backlog sheds this request to Approx (sampled
+    // measures with a stated error bound, on the current graph). A blown
+    // queue deadline degrades it too (still executed — the client gets
+    // *an* update — but flagged).
     viz::DegradeLevel level = viz::DegradeLevel::None;
     bool deadlineMissed = false;
-    if (depthBehind > options_.staleQueueDepth) {
-        level = viz::DegradeLevel::Stale;
-        registry_.increment("shed_degraded");
-        registry_.increment("shed_stale");
-    } else if (depthBehind > options_.degradeQueueDepth) {
+    if (depthBehind > options_.degradeQueueDepth) {
         level = viz::DegradeLevel::Approx;
         registry_.increment("shed_degraded");
     }
     if (deadlineMs > 0.0 && queueMs > deadlineMs) {
         deadlineMissed = true;
-        if (level == viz::DegradeLevel::None) level = viz::DegradeLevel::Approx;
+        level = viz::DegradeLevel::Approx;
         registry_.increment("deadline_missed");
         // Deadline misses are exactly the requests worth a trace: override
         // a lost head-sampling draw before any execution span opens. The
@@ -569,8 +538,7 @@ void SessionService::runNext(std::shared_ptr<Session> session) {
 
     // SLO → ladder coupling: while the latency budget fast-burns the
     // controller floors every request at Approx, shedding load *before*
-    // queues build instead of after. The queue-depth rungs still escalate
-    // above the floor.
+    // queues build instead of after.
     const auto floorLevel =
         static_cast<viz::DegradeLevel>(minDegradeRank_.load(std::memory_order_relaxed));
     if (static_cast<int>(floorLevel) > static_cast<int>(level)) {
@@ -667,7 +635,6 @@ void SessionService::runNext(std::shared_ptr<Session> session) {
         obs::SloSample s;
         s.latencyMs = latencyMs;
         s.deadlineMs = deadlineMs;
-        s.servedStale = timing.measureTier == viz::ResolutionTier::Stale;
         s.eps = timing.measureEps;
         options_.slo->record(s);
     }
@@ -708,7 +675,6 @@ void SessionService::runNext(std::shared_ptr<Session> session) {
     std::lock_guard<std::mutex> lock(mutex_);
     session->busy = false;
     --inFlight_;
-    syncLiveLocked();
     if (timing.specJudged) session->specPending = false;
     // Re-enqueue through the pool's FIFO rather than looping here, so a
     // chatty session yields to the others between requests.

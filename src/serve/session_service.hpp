@@ -57,17 +57,14 @@ struct SessionServiceOptions {
     count workers = 0;
     /// Admission bound per session. A queued update pins roughly a
     /// figure-sized buffer, so 0 derives the bound from the memory budget
-    /// (one slot per 2 GB, minimum 2).
+    /// (one slot per 2 GB, minimum 2: 8 at the paper's 16 GB). Coalescing
+    /// keeps at most one slot per SliderEvent::Kind, so a session never
+    /// queues more than four and the bound only binds below 8 GB.
     count maxQueuedPerSession = 0;
-    /// Queue depth at dequeue beyond which a request is shed to the first
+    /// Queue depth at dequeue beyond which a request is shed to the
     /// degradation rung: approximate measures *with a stated error bound*
-    /// (DegradeLevel::Approx) and a layout polish only.
+    /// (DegradeLevel::Approx).
     count degradeQueueDepth = 2;
-    /// Queue depth beyond which overload escalates to the last rung:
-    /// results for an older graph version may be served
-    /// (DegradeLevel::Stale). Bounded-error-but-current degrades before
-    /// exact-but-outdated.
-    count staleQueueDepth = 6;
     /// Deadline applied when an event carries none. 0 = no deadline.
     double defaultDeadlineMs = 0.0;
     /// Replica identity stamped on every metrics snapshot and span this
@@ -98,15 +95,18 @@ struct SessionServiceOptions {
 ///  - **admission control**: once a session's queue is at its budgeted
 ///    bound (and nothing can be coalesced), submit resolves immediately
 ///    with Rejected instead of queueing unboundedly;
-///  - **graceful degradation ladder**: a request dequeued behind more than
+///  - **graceful degradation**: a request dequeued behind more than
 ///    degradeQueueDepth waiters (or one whose queue wait blew its deadline)
 ///    executes with DegradeLevel::Approx — sampled measures with a stated
-///    (epsilon, delta) and a warm-start-only layout; beyond staleQueueDepth
-///    it escalates to DegradeLevel::Stale, which additionally allows
-///    serving results for an older graph version. Approximate-with-bounds
-///    ranks above stale: a bounded error on the current frame beats an
-///    unbounded one from the past. The tier actually served is visible in
-///    RequestOutcome::timing.measureTier and the measure_tier_* counters.
+///    (epsilon, delta), always on the current graph. The layout is the
+///    same warm-started solve either way. The tier actually served is
+///    visible in RequestOutcome::timing.measureTier and the
+///    measure_tier_* counters;
+///  - **speculation on idle capacity**: an idle session whose widget opted
+///    in precomputes its predicted next tick on the same pool. One
+///    service-wide CancelToken, fired whenever real work arrives or a
+///    session leaves, makes a running speculation yield at its next phase
+///    boundary or layout iteration.
 ///
 /// Sessions are independent: the pool interleaves them, and a session
 /// re-enqueues itself after each request so a chatty client cannot starve
@@ -163,7 +163,7 @@ public:
     void drain() override;
 
     /// Blocks until no session has a speculative task queued or running
-    /// (tests/benches: make the background pipeline deterministic before
+    /// (tests/benches: make the speculative pipeline deterministic before
     /// reading counters or submitting a paced event).
     void waitSpeculationIdle();
 
@@ -217,8 +217,8 @@ public:
     /// SLO → ladder coupling: a floor under the degradation rung every
     /// subsequent request executes at. The ReplicaSet raises it to Approx
     /// while the latency budget fast-burns and drops it back on recovery;
-    /// requests shed this way tick the "slo_degraded" counter. The queue-
-    /// depth ladder still escalates above the floor.
+    /// requests shed this way tick the "slo_degraded" counter (those the
+    /// queue depth or deadline had already degraded do not).
     void setMinimumDegradeLevel(viz::DegradeLevel level);
     viz::DegradeLevel minimumDegradeLevel() const;
 
@@ -238,7 +238,6 @@ private:
         // a completed speculation is "pending" until the next graph-moving
         // request judges it (hit/miss via UpdateTiming), everything else —
         // token fired, session closed, nothing predictable — is cancelled.
-        CancelToken specToken;   ///< fired by any real submit / close
         bool specQueued = false; ///< a task is queued or running
         bool specPending = false; ///< completed, awaiting judgement
     };
@@ -246,11 +245,18 @@ private:
     /// Schedules the session on the pool if it is idle with pending work.
     /// Caller must hold mutex_.
     void pumpLocked(const std::shared_ptr<Session>& session);
-    /// Refreshes interactiveLive_; must follow every totalQueued_ /
-    /// inFlight_ mutation (all happen under mutex_).
-    void syncLiveLocked();
 
-    /// Enqueues a background speculation task for an idle session when its
+    /// Fires the speculation token and installs a fresh one: every
+    /// speculation handed the old token yields. Called wherever
+    /// interactive work appears or a session leaves. Caller must hold
+    /// mutex_.
+    void yieldSpeculationLocked();
+
+    /// Resolves every queued slot of @p session Rejected (one "rejected"
+    /// tick per slot) and empties its queue. Caller must hold mutex_.
+    void rejectQueueLocked(Session& session);
+
+    /// Enqueues a speculation task for an idle session when its
     /// widget opted in and predicts a next event. Caller must hold mutex_.
     void maybeSpeculateLocked(const std::shared_ptr<Session>& session);
 
@@ -261,7 +267,7 @@ private:
     /// Worker-side: pops and executes the session's next request.
     void runNext(std::shared_ptr<Session> session);
 
-    /// Background-worker-side: runs one speculation attempt.
+    /// Worker-side: runs one speculation attempt.
     void runSpeculation(std::shared_ptr<Session> session, CancelToken token);
 
     static void resolveAll(detail::QueuedRequest& request, const RequestOutcome& outcome);
@@ -275,23 +281,21 @@ private:
     std::atomic<int> lastServedRank_{0}; ///< degrade_transition edge detect
 
     mutable std::mutex mutex_;
+    /// Wakes drain(), extractSession() and waitSpeculationIdle(); each
+    /// re-checks its own predicate under mutex_.
     std::condition_variable idle_;
-    std::condition_variable specIdle_; ///< waitSpeculationIdle wakeup
     std::map<SessionId, std::shared_ptr<Session>> sessions_;
     SessionId nextId_ = 1;
     count totalQueued_ = 0;  ///< across sessions (drives the depth gauge)
     count inFlight_ = 0;
-    /// Lock-free mirror of totalQueued_ + inFlight_, refreshed under
-    /// mutex_ wherever either changes (syncLiveLocked). Read by a running
-    /// speculation's abort callback between layout iterations — taking
-    /// mutex_ there would contend with the very requests speculation must
-    /// yield to.
-    std::atomic<count> interactiveLive_{0};
+    /// The one speculation token: handed to every speculation task, fired
+    /// and replaced by yieldSpeculationLocked().
+    CancelToken specToken_;
     /// Speculation tasks enqueued on the pool and not yet finished. Kept
     /// globally (not derived from the session map) so waitSpeculationIdle
     /// also covers tasks whose session closed while they sat in the
-    /// background queue — each such orphan still resolves (cancelled)
-    /// when the pool runs it.
+    /// pool's queue — each such orphan still resolves (cancelled) when the
+    /// pool runs it.
     count specTasksQueued_ = 0;
 };
 

@@ -15,7 +15,7 @@
 
 namespace rinkit {
 
-/// Cooperative cancellation token shared between a background task and
+/// Cooperative cancellation token shared between a speculative task and
 /// whoever may want to stop it. The holder calls cancel(); the task polls
 /// cancelled() at phase boundaries and exits early. Copies share state.
 class CancelToken {
@@ -29,7 +29,7 @@ private:
     std::shared_ptr<std::atomic<bool>> flag_;
 };
 
-/// Fixed-size worker pool with a two-priority FIFO task queue.
+/// Fixed-size worker pool with one FIFO task queue.
 ///
 /// This is the serving layer's execution substrate (serve::SessionService
 /// schedules one task per queued widget request), deliberately separate
@@ -38,14 +38,11 @@ private:
 /// gives round-robin fairness across sessions that re-enqueue themselves
 /// after each request.
 ///
-/// Besides the interactive queue there is a strictly lower-priority
-/// background queue (submitBackground): workers only dequeue background
-/// tasks while the interactive queue is empty, so speculative work never
-/// delays a queued request. Background tasks are expected to poll a
-/// CancelToken and interactivePending() so a long task yields the worker
-/// shortly after real work arrives.
+/// Speculative tasks share the queue with interactive ones; they yield by
+/// polling a CancelToken the service fires when real work arrives, not by
+/// a separate priority class.
 ///
-/// Destruction waits for both queues to drain and joins every worker;
+/// Destruction waits for the queue to drain and joins every worker;
 /// tasks submitted after shutdown began are silently dropped.
 class ThreadPool {
 public:
@@ -86,27 +83,6 @@ public:
         available_.notify_one();
     }
 
-    /// Enqueues @p task on the background queue: it runs only when no
-    /// interactive task is queued at dequeue time. Same context
-    /// propagation as submit().
-    void submitBackground(std::function<void()> task) {
-        const obs::SpanContext ctx = obs::Tracer::global().currentContext();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (stopping_) return;
-            background_.push_back({std::move(task), ctx});
-        }
-        available_.notify_one();
-    }
-
-    /// True while an interactive task is queued (racy snapshot — meant as
-    /// a yield hint for running background tasks, not a synchronization
-    /// primitive).
-    bool interactivePending() const {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return !queue_.empty();
-    }
-
     count size() const { return workers_.size(); }
 
 private:
@@ -120,13 +96,10 @@ private:
             QueuedTask entry;
             {
                 std::unique_lock<std::mutex> lock(mutex_);
-                available_.wait(lock, [this] {
-                    return stopping_ || !queue_.empty() || !background_.empty();
-                });
-                if (queue_.empty() && background_.empty()) return; // stopping_ and drained
-                auto& source = queue_.empty() ? background_ : queue_;
-                entry = std::move(source.front());
-                source.pop_front();
+                available_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+                if (queue_.empty()) return; // stopping_ and drained
+                entry = std::move(queue_.front());
+                queue_.pop_front();
             }
             obs::ContextScope propagate(entry.ctx);
             entry.task();
@@ -135,8 +108,7 @@ private:
 
     std::vector<std::thread> workers_;
     std::deque<QueuedTask> queue_;
-    std::deque<QueuedTask> background_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable available_;
     bool stopping_ = false;
 };

@@ -67,7 +67,6 @@ const char* tierName(ResolutionTier t) {
     case ResolutionTier::Exact: return "exact";
     case ResolutionTier::Dynamic: return "dynamic";
     case ResolutionTier::Approx: return "approx";
-    case ResolutionTier::Stale: return "stale";
     }
     throw std::invalid_argument("tierName: unknown tier");
 }
@@ -127,8 +126,8 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
     ResultInfo& out = info ? *info : local;
     out = ResultInfo{};
 
-    // A degraded request without its own tolerance still gets a bound: the
-    // ladder's Approx rung means "sampled, with stated error", never
+    // A degraded request without its own tolerance still gets a bound:
+    // DegradeLevel::Approx means "sampled, with stated error", never
     // "whatever is lying around".
     const double effTol = req.degrade == DegradeLevel::None
                               ? req.tolerance
@@ -138,7 +137,6 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
     Slot& ex = exact_[mi];
     Slot& ap = approx_[mi];
     const std::uint64_t ver = g.version();
-    const count n = g.numberOfNodes();
 
     auto finish = [&](const std::vector<double>& s) -> const std::vector<double>& {
         span.attr("tier", tierName(out.tier));
@@ -162,18 +160,6 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
     // Fresh approximate serves iff its guarantee is tight enough.
     if (effTol > 0.0 && ap.valid && ap.g == &g && ap.version == ver && ap.eps <= effTol)
         return serveSlot(ap, ResolutionTier::Approx);
-
-    // Last rung: under Stale degradation a right-sized result for an older
-    // version beats any recomputation.
-    if (req.degrade == DegradeLevel::Stale) {
-        for (Slot* s : {&ex, &ap}) {
-            if (s->valid && s->g == &g && s->scores.size() == n &&
-                (s->eps == 0.0 || s->eps <= effTol)) {
-                span.attr("stale", true);
-                return serveSlot(*s, ResolutionTier::Stale);
-            }
-        }
-    }
 
     const CsrView& v = snapshot_.get(g);
 

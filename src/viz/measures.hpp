@@ -51,22 +51,19 @@ bool isCommunityMeasure(Measure m);
 std::vector<double> computeMeasure(const Graph& g, const CsrView& view, Measure m);
 
 /// How far the serving layer allows a result to deviate from fresh-exact.
-/// The SessionService overload ladder walks None -> Approx -> Stale:
-/// "approximate with a stated error bound" is preferred over "exact but for
-/// an old graph", because a bounded error on the current frame is more
-/// useful than an unbounded one from the past.
-enum class DegradeLevel { None, Approx, Stale };
+/// Under overload SessionService sheds a request from None to Approx:
+/// sampled results with a stated error bound, always on the current graph.
+enum class DegradeLevel { None, Approx };
 
-/// How a result was actually produced — the engine's two resolution paths
-/// (plus the stale-serve escape hatch). Reported per request so the tier is
-/// visible in span attributes, metrics, and session recordings.
+/// How a result was actually produced — the engine's two resolution paths.
+/// Reported per request so the tier is visible in span attributes,
+/// metrics, and session recordings.
 enum class ResolutionTier {
     Exact,   ///< fresh exact: cache hit or full recompute
     /// Never produced. Kept only so the frozen bench/cycle compiles; ROADMAP
     /// item 1 removes it.
     Dynamic,
     Approx,  ///< sampled, with an (epsilon, delta) guarantee
-    Stale,   ///< exact or approx, but for an older graph version
 };
 
 const char* tierName(ResolutionTier t);
@@ -89,9 +86,7 @@ const char* tierName(ResolutionTier t);
 ///     (adaptive sampling), reporting the (epsilon, delta) actually
 ///     achieved in ResultInfo. Every other measure stays exact.
 ///
-/// DegradeLevel::Stale additionally allows serving a right-sized result for
-/// an older version — the last rung of the ladder, kept from the original
-/// latest-wins design.
+/// Every result is for the graph's current version.
 class MeasureEngine {
 public:
     struct Options {

@@ -108,8 +108,8 @@ public:
                                      ///< touched applying the frame
         bool measureCacheHit = false; ///< scores served from the version-keyed
                                       ///< result cache (no recomputation)
-        bool degraded = false; ///< update ran in degraded mode (stale cache /
-                               ///< approximate measure, layout polish only)
+        bool degraded = false; ///< update ran in degraded mode (sampled
+                               ///< measure with a stated error bound)
         ResolutionTier measureTier = ResolutionTier::Exact; ///< how the scores
                                                             ///< were produced
         double measureEps = 0.0;    ///< achieved additive error (0 = exact)
@@ -201,8 +201,8 @@ public:
 
     /// Degraded service mode (the serving layer's shed/deadline ladder).
     /// Approx lets the measure engine substitute sampled results with a
-    /// stated error bound; Stale additionally allows serving results for an
-    /// older graph version. Both cap the layout at the warm-start polish.
+    /// stated error bound. The layout does not read it: every update runs
+    /// the same warm-started solve.
     void setDegradeLevel(DegradeLevel level) { degradeLevel_ = level; }
     DegradeLevel degradeLevel() const { return degradeLevel_; }
 

@@ -40,6 +40,24 @@ TEST_F(TempDir, MetisFileRoundTrip) {
     EXPECT_TRUE(g == h);
 }
 
+// METIS writes an isolated node as an empty line; reading must keep it as
+// that node's line, in the middle of the body and at its end.
+TEST_F(TempDir, MetisRoundTripKeepsIsolatedNodes) {
+    Graph g(3);
+    g.addEdge(0, 2);
+    io::writeMetisFile(g, path("middle.metis"));
+    std::ostringstream written;
+    io::writeMetis(g, written);
+    EXPECT_EQ(written.str(), "3 1\n3\n\n1\n");
+    EXPECT_TRUE(io::readMetisFile(path("middle.metis")) == g);
+
+    Graph h(5);
+    h.addEdge(0, 2);
+    h.addEdge(2, 3); // nodes 1 and 4 isolated, 4 on the last line
+    io::writeMetisFile(h, path("end.metis"));
+    EXPECT_TRUE(io::readMetisFile(path("end.metis")) == h);
+}
+
 TEST_F(TempDir, EdgeListFileRoundTrip) {
     Graph g(5, true);
     g.addEdge(0, 1, 2.5);

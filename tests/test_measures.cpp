@@ -1,7 +1,7 @@
 // Tests for the measure layer: the cold KADABRA sampler against exact
 // betweenness at its stated bound, and viz::MeasureEngine's resolution
 // (version-keyed exact and approx slots, cold sampling under tolerance or
-// degrade, stale serving), with every exact read bit-equal to
+// degrade), with every exact read bit-equal to
 // computeMeasure on the same graph.
 #include <gtest/gtest.h>
 
@@ -236,28 +236,6 @@ TEST(MeasureEngine, ExactBetweennessIsBitEqualToComputeMeasure) {
     const auto second = eng.scores(g, viz::Measure::Betweenness, exact, &info);
     EXPECT_EQ(info.tier, viz::ResolutionTier::Exact);
     EXPECT_EQ(second, viz::computeMeasure(g, CsrView::fromGraph(g), viz::Measure::Betweenness));
-}
-
-TEST(MeasureEngine, StaleDegradeServesOldVersionAndIsLabelled) {
-    Graph g = generators::karateClub();
-    viz::MeasureEngine eng;
-    viz::MeasureEngine::Request exact;
-    viz::MeasureEngine::ResultInfo info;
-
-    const auto old = eng.scores(g, viz::Measure::PageRank, exact, &info);
-    g.addEdge(0, 16);
-
-    viz::MeasureEngine::Request stale;
-    stale.degrade = viz::DegradeLevel::Stale;
-    const auto served = eng.scores(g, viz::Measure::PageRank, stale, &info);
-    EXPECT_EQ(info.tier, viz::ResolutionTier::Stale);
-    EXPECT_TRUE(info.cacheHit);
-    EXPECT_EQ(served, old);
-
-    // Without the degrade flag the same request recomputes.
-    eng.scores(g, viz::Measure::PageRank, exact, &info);
-    EXPECT_EQ(info.tier, viz::ResolutionTier::Exact);
-    EXPECT_FALSE(info.cacheHit);
 }
 
 TEST(MeasureEngine, ApproxDegradeAppliesFloorTolerance) {

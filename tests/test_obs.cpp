@@ -569,11 +569,8 @@ TEST(SloEngine, ObjectiveKindsDeriveTheirOwnVerdicts) {
     obs::SloSample rejected;
     rejected.rejected = true;
     engine.record(t += 0.01, rejected); // bad for shed only
-    obs::SloSample stale = goodSample();
-    stale.servedStale = true;
-    engine.record(t += 0.01, stale); // bad for staleness only
     obs::SloSample overBudget = goodSample();
-    overBudget.eps = 0.5; // above the 0.1 budget
+    overBudget.eps = 0.5; // above the 0.1 budget: bad for staleness only
     engine.record(t += 0.01, overBudget);
     engine.record(t += 0.01, goodSample());
 
@@ -586,12 +583,12 @@ TEST(SloEngine, ObjectiveKindsDeriveTheirOwnVerdicts) {
     };
     // Latency: rejections are irrelevant, everything served was in time.
     EXPECT_EQ(byName("latency").bad, 0u);
-    EXPECT_EQ(byName("latency").good, 3u);
+    EXPECT_EQ(byName("latency").good, 2u);
     // Shed: exactly the rejected request is bad.
     EXPECT_EQ(byName("shed").bad, 1u);
-    EXPECT_EQ(byName("shed").good, 3u);
-    // Staleness: the stale answer and the over-budget eps are bad.
-    EXPECT_EQ(byName("staleness").bad, 2u);
+    EXPECT_EQ(byName("shed").good, 2u);
+    // Staleness: exactly the over-budget eps is bad.
+    EXPECT_EQ(byName("staleness").bad, 1u);
     EXPECT_EQ(byName("staleness").good, 1u);
 }
 

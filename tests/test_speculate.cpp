@@ -1,7 +1,7 @@
 // Speculative-precompute suite: the slider Predictor, the widget's
 // speculate/adopt cycle (promote-on-match — a hit must be byte-identical
 // to the non-speculating path, a miss must change nothing), and the
-// serving layer's background speculation lifecycle: the accounting
+// serving layer's speculation lifecycle: the accounting
 // invariant speculated == spec_hit + spec_miss + spec_cancelled, SLO
 // invisibility (zero interactive counters/histogram samples from spec
 // work), and the cancellation races scripts/verify.sh --speculate runs
@@ -368,7 +368,7 @@ TEST(ServiceSpeculation, SpeculationInvisibleToInteractiveAccounting) {
 }
 
 TEST(ServiceSpeculation, BurstSubmissionsCancelSpeculationsUnderRace) {
-    // TSan target: real submits racing the background speculation task.
+    // TSan target: real submits racing the speculation task.
     // Interleaving-dependent — only the invariants are asserted.
     const auto traj = smallTrajectory();
     SessionService::Options so;
@@ -403,7 +403,8 @@ TEST(ServiceSpeculation, BurstSubmissionsCancelSpeculationsUnderRace) {
 
 TEST(ServiceSpeculation, ManySessionsRacingSpeculation) {
     // TSan target: several sessions' speculations sharing the pool's
-    // background queue while interactive work streams in.
+    // queue and the service's one cancel token while interactive work
+    // streams in.
     const auto traj = smallTrajectory();
     SessionService::Options so;
     so.workers = 4;
