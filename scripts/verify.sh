@@ -53,6 +53,25 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Configure a sanitizer tree (build-tsan: TSan; build-asan: ASan/UBSan) and
+# build the given targets in it.
+build_tsan() {
+    local flags="-fsanitize=thread -g -O1"
+    cmake -B build-tsan -S . \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS="$flags" \
+        -DCMAKE_EXE_LINKER_FLAGS="$flags" >/dev/null
+    cmake --build build-tsan -j --target "$@"
+}
+build_asan() {
+    local flags="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
+    cmake -B build-asan -S . \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS="$flags" \
+        -DCMAKE_EXE_LINKER_FLAGS="$flags" >/dev/null
+    cmake --build build-asan -j --target "$@"
+}
+
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j
@@ -65,12 +84,7 @@ fi
 
 if [[ "${1:-}" == "--tsan" ]]; then
     echo "== TSan: test_centrality + test_measures + test_community + test_serve =="
-    TSAN_FLAGS="-fsanitize=thread -g -O1"
-    cmake -B build-tsan -S . \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
-        -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS" >/dev/null
-    cmake --build build-tsan -j --target test_centrality test_measures test_community test_serve
+    build_tsan test_centrality test_measures test_community test_serve
     # PLM/PLP intentionally race on community labels (benign by design,
     # same as NetworKit); TSan still reports them, so races are surfaced
     # as a report count rather than a hard failure, while centrality, the
@@ -87,22 +101,12 @@ fi
 
 if [[ "${1:-}" == "--serve-stress" ]]; then
     echo "== serve stress under TSan =="
-    TSAN_FLAGS="-fsanitize=thread -g -O1"
-    cmake -B build-tsan -S . \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
-        -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS" >/dev/null
-    cmake --build build-tsan -j --target test_serve test_serve_stress
+    build_tsan test_serve test_serve_stress
     ./build-tsan/tests/test_serve
     ./build-tsan/tests/test_serve_stress
 
     echo "== serve stress under ASan/UBSan =="
-    SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
-    cmake -B build-asan -S . \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
-        -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
-    cmake --build build-asan -j --target test_serve_stress
+    build_asan test_serve_stress
     ./build-asan/tests/test_serve_stress
     echo "== serve stress OK =="
     exit 0
@@ -110,12 +114,7 @@ fi
 
 if [[ "${1:-}" == "--obs" ]]; then
     echo "== obs suite under TSan =="
-    TSAN_FLAGS="-fsanitize=thread -g -O1"
-    cmake -B build-tsan -S . \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
-        -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS" >/dev/null
-    cmake --build build-tsan -j --target test_obs
+    build_tsan test_obs
     (cd build-tsan && ctest -L obs --output-on-failure)
 
     # The tail sampler's retain/evict/export path is hit from worker,
@@ -135,12 +134,7 @@ fi
 
 if [[ "${1:-}" == "--layout" ]]; then
     echo "== layout suite under ASan/UBSan =="
-    SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
-    cmake -B build-asan -S . \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
-        -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
-    cmake --build build-asan -j --target test_layout
+    build_asan test_layout
     (cd build-asan && ctest -L layout --output-on-failure)
 
     echo "== layout ablation bench smoke (release) =="
@@ -155,21 +149,11 @@ fi
 
 if [[ "${1:-}" == "--cluster" ]]; then
     echo "== cluster serving suite under TSan =="
-    TSAN_FLAGS="-fsanitize=thread -g -O1"
-    cmake -B build-tsan -S . \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
-        -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS" >/dev/null
-    cmake --build build-tsan -j --target test_cluster_serve
+    build_tsan test_cluster_serve
     ./build-tsan/tests/test_cluster_serve
 
     echo "== cluster serving suite under ASan/UBSan =="
-    SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
-    cmake -B build-asan -S . \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
-        -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
-    cmake --build build-asan -j --target test_cluster_serve
+    build_asan test_cluster_serve
     ./build-asan/tests/test_cluster_serve
 
     echo "== cluster scaling bench smoke (release) =="
@@ -183,12 +167,7 @@ fi
 
 if [[ "${1:-}" == "--speculate" ]]; then
     echo "== speculation suite under TSan =="
-    TSAN_FLAGS="-fsanitize=thread -g -O1"
-    cmake -B build-tsan -S . \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
-        -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS" >/dev/null
-    cmake --build build-tsan -j --target test_speculate
+    build_tsan test_speculate
     # Extra interleavings for the cancellation races: submits bursting
     # against the background speculation task.
     ./build-tsan/tests/test_speculate
@@ -197,12 +176,7 @@ if [[ "${1:-}" == "--speculate" ]]; then
         --gtest_repeat=3
 
     echo "== LOD wire round-trip under ASan/UBSan =="
-    SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
-    cmake -B build-asan -S . \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
-        -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
-    cmake --build build-asan -j --target test_wire test_speculate
+    build_asan test_wire test_speculate
     ./build-asan/tests/test_wire --gtest_filter='SceneFrameLod.*'
     ./build-asan/tests/test_speculate --gtest_filter='WidgetSpeculation.*'
 
@@ -252,12 +226,7 @@ fi
 
 if [[ "${1:-}" == "--wire" ]]; then
     echo "== wire protocol suite under ASan/UBSan =="
-    SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
-    cmake -B build-asan -S . \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
-        -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
-    cmake --build build-asan -j --target test_wire test_viz
+    build_asan test_wire test_viz
     (cd build-asan && ctest -L wire --output-on-failure)
     ./build-asan/tests/test_viz
     echo "== wire OK =="
@@ -265,12 +234,7 @@ if [[ "${1:-}" == "--wire" ]]; then
 fi
 
 echo "== ASan/UBSan: test_rin + test_layout + test_io_files =="
-SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
-cmake -B build-asan -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
-    -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
-cmake --build build-asan -j --target test_rin test_layout test_io_files
+build_asan test_rin test_layout test_io_files
 ./build-asan/tests/test_rin
 ./build-asan/tests/test_layout
 ./build-asan/tests/test_io_files

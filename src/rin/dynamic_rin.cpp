@@ -24,34 +24,10 @@ DynamicRin::UpdateStats DynamicRin::applyContacts() {
         contactsCutoff_ = cutoff_;
     }
 
-    // Merge the desired contacts (sorted by (u, v)) directly against the
-    // graph's sorted adjacency, node by node, over the forward neighbors
-    // v > u. Mismatches go into the add/remove buffers; no throwaway
-    // "desired" graph, no hasEdge lookups.
-    UpdateStats stats;
-    addBuf_.clear();
-    removeBuf_.clear();
-
-    const count n = graph_.numberOfNodes();
-    std::size_t ci = 0;
-    for (node u = 0; u < n; ++u) {
-        const auto nb = graph_.neighbors(u);
-        auto it = std::upper_bound(nb.begin(), nb.end(), u);
-        while (ci < contacts_.size() && contacts_[ci].u == u) {
-            const Contact& c = contacts_[ci++];
-            if (c.distance > cutoff_) continue; // cached at a larger cutoff
-            while (it != nb.end() && *it < c.v) removeBuf_.emplace_back(u, *it++);
-            if (it != nb.end() && *it == c.v) {
-                ++it; // edge already present
-            } else {
-                addBuf_.emplace_back(u, c.v);
-            }
-        }
-        while (it != nb.end()) removeBuf_.emplace_back(u, *it++);
-    }
-
+    diffAgainstGraph(contacts_, cutoff_, addBuf_, removeBuf_);
     for (auto [u, v] : removeBuf_) graph_.removeEdge(u, v);
     for (auto [u, v] : addBuf_) graph_.addEdge(u, v);
+    UpdateStats stats;
     stats.edgesRemoved = removeBuf_.size();
     stats.edgesAdded = addBuf_.size();
     stats.edgesTotal = graph_.numberOfEdges();
@@ -78,7 +54,7 @@ DynamicRin::UpdateStats DynamicRin::setFrame(index frame) {
     obs::ScopedSpan span("rin.frame_diff");
     span.attr("frame", static_cast<double>(frame));
     frame_ = frame;
-    if (frameSpeculationReady(frame)) {
+    if (frameSlotReady(frame)) {
         // Prediction hit: adopt the precomputed conformation + contact
         // cache by swap — only the edge merge remains.
         std::swap(protein_, specProtein_);
@@ -101,54 +77,48 @@ DynamicRin::UpdateStats DynamicRin::setFrame(index frame) {
     return stats;
 }
 
-void DynamicRin::precomputeContacts(double cutoff) {
+void DynamicRin::predictCutoff(double cutoff, std::vector<std::pair<node, node>>& added,
+                               std::vector<std::pair<node, node>>& removed) {
     if (cutoff <= 0.0) throw std::invalid_argument("DynamicRin: cutoff must be > 0");
-    if (contactsCover(cutoff)) return;
-    obs::ScopedSpan span("rin.speculate_contacts");
-    span.attr("cutoff", cutoff);
-    builder_.contactsInto(protein_, cutoff, ws_, contacts_);
-    contactsCutoff_ = cutoff;
+    if (!ws_.geometryValid || cutoff > contactsCutoff_) {
+        obs::ScopedSpan span("rin.speculate_contacts");
+        span.attr("cutoff", cutoff);
+        builder_.contactsInto(protein_, cutoff, ws_, contacts_);
+        contactsCutoff_ = cutoff;
+    }
+    diffAgainstGraph(contacts_, cutoff, added, removed);
 }
 
-bool DynamicRin::precomputeFrame(index frame) {
+bool DynamicRin::predictFrame(index frame, std::vector<std::pair<node, node>>& added,
+                              std::vector<std::pair<node, node>>& removed) {
     if (frame == frame_ || frame >= traj_.frameCount()) {
         specValid_ = false;
         return false;
     }
-    if (specValid_ && specFrame_ == frame && specCutoff_ >= cutoff_) return true;
-    obs::ScopedSpan span("rin.speculate_frame");
-    span.attr("frame", static_cast<double>(frame));
-    specValid_ = false;
-    if (specProtein_.size() != protein_.size()) specProtein_ = protein_;
-    specProtein_.setAtomPositions(traj_.frame(frame));
-    specWs_.invalidate();
-    builder_.contactsInto(specProtein_, cutoff_, specWs_, specContacts_);
-    specFrame_ = frame;
-    specCutoff_ = cutoff_;
-    specValid_ = true;
-    return true;
-}
-
-void DynamicRin::speculateCutoffDiff(double cutoff,
-                                     std::vector<std::pair<node, node>>& added,
-                                     std::vector<std::pair<node, node>>& removed) const {
-    if (!contactsCover(cutoff))
-        throw std::logic_error("DynamicRin: speculateCutoffDiff without contact cover");
-    diffAgainstGraph(contacts_, cutoff, added, removed);
-}
-
-void DynamicRin::speculateFrameDiff(std::vector<std::pair<node, node>>& added,
-                                    std::vector<std::pair<node, node>>& removed) const {
-    if (!specValid_ || specCutoff_ < cutoff_)
-        throw std::logic_error("DynamicRin: speculateFrameDiff without frame slot");
+    if (!frameSlotReady(frame)) {
+        obs::ScopedSpan span("rin.speculate_frame");
+        span.attr("frame", static_cast<double>(frame));
+        specValid_ = false;
+        if (specProtein_.size() != protein_.size()) specProtein_ = protein_;
+        specProtein_.setAtomPositions(traj_.frame(frame));
+        specWs_.invalidate();
+        builder_.contactsInto(specProtein_, cutoff_, specWs_, specContacts_);
+        specFrame_ = frame;
+        specCutoff_ = cutoff_;
+        specValid_ = true;
+    }
     diffAgainstGraph(specContacts_, cutoff_, added, removed);
+    return true;
 }
 
 void DynamicRin::diffAgainstGraph(const std::vector<Contact>& contacts, double cutoff,
                                   std::vector<std::pair<node, node>>& added,
                                   std::vector<std::pair<node, node>>& removed) const {
-    // Same merge as applyContacts, but into caller buffers and without
-    // touching the graph: the edge diff a hypothetical update would apply.
+    // Merge the desired contacts (sorted by (u, v)) directly against the
+    // graph's sorted adjacency, node by node, over the forward neighbors
+    // v > u. Mismatches go into the add/remove buffers; no throwaway
+    // "desired" graph, no hasEdge lookups. Contacts beyond @p cutoff are
+    // cached at a larger one and skipped.
     added.clear();
     removed.clear();
     const count n = graph_.numberOfNodes();
@@ -168,16 +138,6 @@ void DynamicRin::diffAgainstGraph(const std::vector<Contact>& contacts, double c
         }
         while (it != nb.end()) removed.emplace_back(u, *it++);
     }
-}
-
-void DynamicRin::rebuild() {
-    obs::ScopedSpan span("rin.rebuild");
-    graph_ = builder_.build(protein_, cutoff_);
-    // A rebuild replaces the topology wholesale; the incremental diff of
-    // the last setCutoff/setFrame no longer describes anything.
-    addBuf_.clear();
-    removeBuf_.clear();
-    span.attr("edges_total", graph_.numberOfEdges());
 }
 
 } // namespace rinkit::rin

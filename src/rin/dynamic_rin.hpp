@@ -47,63 +47,54 @@ public:
     /// Switches the distance cutoff, diffing edges in place.
     UpdateStats setCutoff(double cutoff);
 
-    /// Switches the trajectory frame (recomputes distances, diffs edges).
+    /// Switches the trajectory frame: atom positions move, contacts are
+    /// redetected from scratch geometry, and the result is merged against
+    /// the graph. setFrame(frame()) re-derives the current RIN this way; on
+    /// a consistent graph its diff is empty, so the version (and every
+    /// cache keyed on it) survives. The graph object itself is never
+    /// replaced, so its version only ever grows.
     UpdateStats setFrame(index frame);
 
     /// Exact edge diff of the most recent setCutoff/setFrame, sorted
-    /// (u < v, lexicographic). Valid until the next update; empty after a
-    /// rebuild(). This is what the wire-protocol delta encoder ships
-    /// instead of re-deriving the diff from two full edge lists.
+    /// (u < v, lexicographic). Valid until the next update. This is what
+    /// the wire-protocol delta encoder ships instead of re-deriving the
+    /// diff from two full edge lists.
     const std::vector<std::pair<node, node>>& lastAdded() const { return addBuf_; }
     const std::vector<std::pair<node, node>>& lastRemoved() const { return removeBuf_; }
-
-    /// Full rebuild (baseline for the ablation bench).
-    void rebuild();
 
     // ---- Speculative precompute (idle-capacity prefetch) -------------
     //
     // All of it is side work: nothing below mutates the graph or the
     // (frame, cutoff) position, so a cancelled or wrong speculation never
     // changes what a client observes. A correct prediction turns the next
-    // real setCutoff/setFrame into a cached merge.
+    // real setCutoff/setFrame into a cached merge. Both predictions run the
+    // same merge as the live update, into the caller's buffers (sorted
+    // like lastAdded/lastRemoved).
 
-    /// Extends the current frame's contact cache up to @p cutoff (no-op
-    /// when already covered). A later setCutoff(c) with c <= cutoff is
-    /// then a pure filter — no geometry work on the interactive path.
-    void precomputeContacts(double cutoff);
+    /// Edge diff setCutoff(@p cutoff) would apply. Extends the current
+    /// frame's contact cache up to @p cutoff first, so the later
+    /// setCutoff is a pure filter with no geometry work.
+    void predictCutoff(double cutoff, std::vector<std::pair<node, node>>& added,
+                       std::vector<std::pair<node, node>>& removed);
 
-    /// True when the contact cache already covers @p cutoff.
-    bool contactsCover(double cutoff) const {
-        return ws_.geometryValid && cutoff <= contactsCutoff_;
-    }
-
-    /// Computes frame @p frame's conformation and contact list (at the
-    /// current cutoff) into a side slot, leaving live state untouched.
-    /// A later setFrame(frame) adopts the slot by swapping it in and only
-    /// runs the edge merge. Returns false (and clears the slot) when
-    /// @p frame is the current frame or out of range.
-    bool precomputeFrame(index frame);
-
-    /// True when the side slot holds frame @p frame at a covering cutoff.
-    bool frameSpeculationReady(index frame) const {
-        return specValid_ && specFrame_ == frame && specCutoff_ >= cutoff_;
-    }
+    /// Edge diff setFrame(@p frame) would apply at the current cutoff.
+    /// Computes the frame's conformation and contacts into a side slot
+    /// that setFrame(@p frame) adopts by swap, leaving only its merge.
+    /// Returns false (and clears the slot) when @p frame is the current
+    /// frame or out of range.
+    bool predictFrame(index frame, std::vector<std::pair<node, node>>& added,
+                      std::vector<std::pair<node, node>>& removed);
 
     void dropFrameSpeculation() { specValid_ = false; }
 
-    /// Edge diff the graph *would* undergo on setCutoff(@p cutoff),
-    /// without applying it. Requires contactsCover(cutoff); lists come
-    /// back sorted (u < v, lexicographic).
-    void speculateCutoffDiff(double cutoff, std::vector<std::pair<node, node>>& added,
-                             std::vector<std::pair<node, node>>& removed) const;
-
-    /// Edge diff the graph would undergo adopting the precomputed frame
-    /// slot at the current cutoff. Requires a ready frame speculation.
-    void speculateFrameDiff(std::vector<std::pair<node, node>>& added,
-                            std::vector<std::pair<node, node>>& removed) const;
-
 private:
     UpdateStats applyContacts();
+    /// True when the side slot holds @p frame at a covering cutoff.
+    bool frameSlotReady(index frame) const {
+        return specValid_ && specFrame_ == frame && specCutoff_ >= cutoff_;
+    }
+    /// The one merge of a sorted contact list against the graph's sorted
+    /// adjacency: the edge diff an update to (contacts, cutoff) applies.
     void diffAgainstGraph(const std::vector<Contact>& contacts, double cutoff,
                           std::vector<std::pair<node, node>>& added,
                           std::vector<std::pair<node, node>>& removed) const;
@@ -120,7 +111,7 @@ private:
     double contactsCutoff_ = 0.0;    // largest cutoff computed for this frame
     std::vector<std::pair<node, node>> addBuf_, removeBuf_; // diff scratch
 
-    // Speculative frame side slot (precomputeFrame): an alternate
+    // Speculative frame side slot (predictFrame): an alternate
     // conformation + contact cache that setFrame adopts by swap on a
     // prediction hit. Owned workspaces keep speculation from clobbering
     // the live geometry cache.

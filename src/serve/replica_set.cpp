@@ -55,12 +55,10 @@ Autoscaler::Decision Autoscaler::evaluate(const AutoscalerSignals& s) {
     const AutoscalerOptions& o = options_;
     const bool hot =
         s.queueDepthPerReplica > o.queueDepthHighWater ||
-        (o.p99LatencyMsHigh > 0.0 && s.p99LatencyMs > o.p99LatencyMsHigh) ||
         s.shedRate > o.shedRateHigh ||
         (o.sloBurnRateHigh > 0.0 && s.sloFastBurnRate > o.sloBurnRateHigh);
     const bool cold =
         s.queueDepthPerReplica < o.lowLoadFraction * o.queueDepthHighWater &&
-        (o.p99LatencyMsHigh <= 0.0 || s.p99LatencyMs < o.lowLoadFraction * o.p99LatencyMsHigh) &&
         s.shedRate < o.lowLoadFraction * o.shedRateHigh &&
         (o.sloBurnRateHigh <= 0.0 ||
          s.sloFastBurnRate < o.lowLoadFraction * o.sloBurnRateHigh);
@@ -365,8 +363,6 @@ Autoscaler::Decision ReplicaSet::tick() {
         signals.replicas = replicas_.size();
         signals.queueDepthPerReplica =
             static_cast<double>(snap.queueDepth) / static_cast<double>(replicas_.size());
-        const auto it = snap.histograms.find("total_ms");
-        if (it != snap.histograms.end()) signals.p99LatencyMs = it->second.p99Ms;
         // Shed rate over the window since the previous tick (counter
         // deltas), not cumulative — the autoscaler must see recovery.
         const count offered = snap.counter("submitted") + snap.counter("adopted");

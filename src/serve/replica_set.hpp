@@ -51,9 +51,6 @@ struct AutoscalerOptions {
     /// Scale-up pressure when the mean queued backlog per replica exceeds
     /// this (the queue-depth high-water signal).
     double queueDepthHighWater = 8.0;
-    /// Scale-up pressure when p99 request latency exceeds this (ms).
-    /// 0 disables the latency signal.
-    double p99LatencyMsHigh = 0.0;
     /// Scale-up pressure when the shed rate (rejected + degraded over
     /// offered) exceeds this fraction.
     double shedRateHigh = 0.01;
@@ -81,7 +78,6 @@ struct AutoscalerOptions {
 /// One tick's worth of the Prometheus signals the autoscaler watches.
 struct AutoscalerSignals {
     double queueDepthPerReplica = 0.0;
-    double p99LatencyMs = 0.0;
     double shedRate = 0.0;
     /// SloEngine::fastBurnRate() at this tick (0 without an engine).
     double sloFastBurnRate = 0.0;

@@ -68,7 +68,7 @@ public:
         hasCutoff_ = true;
     }
 
-    /// Full recompute / rebuild: the session's interaction pattern is
+    /// Refresh (the recompute button): the session's interaction pattern is
     /// interrupted, so stop predicting until a slider moves again.
     void reset() { *this = Predictor(options_); }
 

@@ -23,7 +23,25 @@ RinWidget::RinWidget(const md::Trajectory& traj, Options options)
     Predictor::Options pred;
     pred.frameCount = traj.frameCount();
     predictor_ = Predictor(pred);
-    refresh();
+    // DynamicRin's constructor already built the RIN: the first frame only
+    // needs its layout, scores and a full-edge-list render.
+    UpdateTiming t;
+    redraw(t);
+}
+
+RinWidget::WarmLayout RinWidget::warmLayout(const Graph& g, MaxentWorkspace* ws,
+                                            std::function<bool()> abortCheck) const {
+    MaxentStress::Parameters params;
+    params.iterations = options_.layoutIterations;
+    params.warmStartIterations = options_.layoutWarmStartIterations;
+    params.seed = options_.seed;
+    params.abortCheck = std::move(abortCheck);
+    MaxentStress layout(g, 3, params);
+    if (ws) layout.setWorkspace(ws);
+    layout.setInitialCoordinates(maxentCoords_);
+    layout.run();
+    return {layout.getCoordinates(), layout.iterationsDone(), layout.converged(),
+            layout.aborted()};
 }
 
 void RinWidget::recomputeLayout(UpdateTiming& t) {
@@ -53,17 +71,10 @@ void RinWidget::recomputeLayout(UpdateTiming& t) {
         converged = layout.converged();
     } else {
         // Warm start: the capped fine-level polish.
-        MaxentStress::Parameters params;
-        params.iterations = options_.layoutIterations;
-        params.warmStartIterations = options_.layoutWarmStartIterations;
-        params.seed = options_.seed;
-        MaxentStress layout(g, 3, params);
-        layout.setWorkspace(&layoutWorkspace_);
-        layout.setInitialCoordinates(maxentCoords_);
-        layout.run();
-        maxentCoords_ = layout.getCoordinates();
-        iterationsDone = layout.iterationsDone();
-        converged = layout.converged();
+        WarmLayout layout = warmLayout(g, &layoutWorkspace_, {});
+        maxentCoords_ = std::move(layout.coords);
+        iterationsDone = layout.iterations;
+        converged = layout.converged;
     }
     span.attr("warm_start", warmStart);
     span.attr("iterations_done", iterationsDone);
@@ -109,19 +120,17 @@ bool RinWidget::speculate(const std::function<bool()>& cancelled) {
     span.attr("kind", pred.kind == Prediction::Kind::Frame ? "frame" : "cutoff");
     const auto aborted = [&] { return cancelled && cancelled(); };
 
-    // Phase 1 — network side work. Both branches are pure cache warming on
-    // DynamicRin (an extended contact cache, a frame side slot): legal to
-    // keep even when a later phase aborts, never visible to the client.
+    // Phase 1 — the predicted edge diff. Both predictions are pure cache
+    // warming on DynamicRin (an extended contact cache, a frame side slot):
+    // legal to keep even when a later phase aborts, never visible to the
+    // client.
     Speculation spec;
     spec.pred = pred;
     spec.baseVersion = version;
     if (pred.kind == Prediction::Kind::Frame) {
-        if (!rin_.precomputeFrame(pred.frame)) return false;
-        rin_.speculateFrameDiff(spec.added, spec.removed);
+        if (!rin_.predictFrame(pred.frame, spec.added, spec.removed)) return false;
     } else {
-        if (pred.cutoff > rin_.cutoff()) rin_.precomputeContacts(pred.cutoff);
-        if (!rin_.contactsCover(pred.cutoff)) return false;
-        rin_.speculateCutoffDiff(pred.cutoff, spec.added, spec.removed);
+        rin_.predictCutoff(pred.cutoff, spec.added, spec.removed);
     }
     if (aborted()) {
         span.attr("cancelled", true);
@@ -137,29 +146,21 @@ bool RinWidget::speculate(const std::function<bool()>& cancelled) {
         return false;
     }
 
-    // Phase 3 — the exact warm-start solve the real update would run on
-    // this graph (same parameters, seed, and initial coordinates), so
-    // adopting the result and skipping the real polish changes nothing.
-    // A dedicated workspace keeps the live rho/octree cache untouched.
-    MaxentStress::Parameters params;
-    params.iterations = options_.layoutIterations;
-    params.warmStartIterations = options_.layoutWarmStartIterations;
-    params.seed = options_.seed;
+    // Phase 3 — the warm solve the real update would run on this graph
+    // (warmLayout), so adopting the result and skipping the real polish
+    // changes nothing. It runs on a run-local workspace: the predicted graph
+    // lives only for this call, and a persistent rho cache bound to it would
+    // key on an address and version the next prediction can repeat.
     // Cooperative abort per outer iteration: speculation must yield to
     // interactive work within ~one sweep, not one whole solve. The check
     // never fires on the adopted path, so the solve stays bit-identical
     // to the real update's (see Parameters::abortCheck).
-    params.abortCheck = aborted;
-    MaxentStress layout(predicted, 3, params);
-    layout.setWorkspace(&specLayoutWorkspace_);
-    if (maxentCoords_.size() == predicted.numberOfNodes())
-        layout.setInitialCoordinates(maxentCoords_);
-    layout.run();
-    if (layout.aborted()) {
+    WarmLayout layout = warmLayout(predicted, nullptr, aborted);
+    if (layout.aborted) {
         span.attr("cancelled", true);
         return false;
     }
-    spec.coords = layout.getCoordinates();
+    spec.coords = std::move(layout.coords);
     if (aborted()) {
         span.attr("cancelled", true);
         return false;
@@ -272,7 +273,7 @@ void RinWidget::renderAndShip(UpdateTiming& t, bool fullClientUpdate, bool marke
 
     // JSON mode: the scenes need the edge list whenever the serialized
     // edge-trace cache is stale. Binary mode: only when the edge delta is
-    // unknown (full rebuild) — otherwise the delta encoder patches its
+    // unknown (first frame, refresh) — otherwise the delta encoder patches its
     // shadow edge set from DynamicRin's exact diff and never sees (or
     // copies) the full list.
     const bool needEdges = binary ? edgeDelta == EdgeDelta::Full : !edgeTracesValid_;
@@ -484,10 +485,8 @@ RinWidget::UpdateTiming RinWidget::setMeasure(Measure measure) {
 RinWidget::UpdateTiming RinWidget::refresh() {
     obs::ScopedSpan span("widget.refresh");
     UpdateTiming t;
-    edgeTracesValid_ = false;
-    // A rebuild moves the graph without matching any prediction: judge a
-    // pending speculation a miss, drop the side slots, stop predicting
-    // until the sliders move again.
+    // A refresh is no predicted event: judge a pending speculation a miss,
+    // drop the side slots, stop predicting until the sliders move again.
     if (spec_.valid) {
         t.specJudged = true;
         spec_.valid = false;
@@ -495,17 +494,27 @@ RinWidget::UpdateTiming RinWidget::refresh() {
     rin_.dropFrameSpeculation();
     predictor_.reset();
     {
+        // Re-derive the current frame's RIN through the live diff: fresh
+        // contact detection merged against the graph. On a consistent graph
+        // the diff is empty, the version stays, and layout, measure and LOD
+        // below hit their version-keyed caches.
         obs::ScopedSpan net("widget.network_update");
-        rin_.rebuild();
-        net.attr("edges_total", rin_.graph().numberOfEdges());
+        t.edgeStats = rin_.setFrame(rin_.frame());
+        net.attr("edges_added", t.edgeStats.edgesAdded);
+        net.attr("edges_removed", t.edgeStats.edgesRemoved);
+        net.attr("edges_total", t.edgeStats.edgesTotal);
         t.networkUpdateMs = net.finishMs();
     }
-    recomputeLayout(t);
-    recomputeMeasure(t);
-    // A rebuild invalidates any incremental diff: ship the full edge list.
-    renderAndShip(t, /*fullClientUpdate=*/true, /*markersOnly=*/false, EdgeDelta::Full);
+    redraw(t);
     span.attr("degraded", degraded());
     return t;
+}
+
+void RinWidget::redraw(UpdateTiming& t) {
+    edgeTracesValid_ = false;
+    recomputeLayout(t);
+    recomputeMeasure(t);
+    renderAndShip(t, /*fullClientUpdate=*/true, /*markersOnly=*/false, EdgeDelta::Full);
 }
 
 } // namespace rinkit::viz

@@ -149,8 +149,11 @@ public:
     /// UpdateTiming::edgeBytesSerialized == 0).
     UpdateTiming setMeasure(Measure measure);
 
-    /// Recomputes everything (initial draw / "recompute" button in
-    /// on-demand mode).
+    /// The "recompute" button of on-demand mode: re-derives the current
+    /// frame's RIN at the current cutoff (DynamicRin::setFrame(frame())),
+    /// then reruns layout and measure and ships the full edge list. On an
+    /// unchanged graph the edge diff is empty and the measure, rho and LOD
+    /// caches all hit.
     UpdateTiming refresh();
 
     // -- speculative precompute (idle-capacity prefetch) ------------------
@@ -261,7 +264,8 @@ public:
 private:
     /// How renderAndShip learns what happened to the edge set: nothing
     /// (measure switch), an exact DynamicRin diff (cutoff/frame switch),
-    /// or an unknown change requiring the full edge list (refresh).
+    /// or the full edge list (the first frame, which the delta encoder has
+    /// no state to diff against, and refresh).
     enum class EdgeDelta { None, Diffed, Full };
 
     /// A completed speculation awaiting judgement: everything the widget
@@ -284,10 +288,27 @@ private:
         bool haveEdgeTraces = false;
     };
 
+    /// Result of warmLayout().
+    struct WarmLayout {
+        std::vector<Point3> coords;
+        count iterations = 0;
+        bool converged = false;
+        bool aborted = false;
+    };
+    /// The warm-started fine-level polish of @p g from maxentCoords_: the
+    /// one solve both the live update and speculation run, so an adopted
+    /// speculative layout equals the live one by construction. A null
+    /// @p ws runs it on a run-local workspace; @p abortCheck is polled
+    /// before every outer iteration.
+    WarmLayout warmLayout(const Graph& g, MaxentWorkspace* ws,
+                          std::function<bool()> abortCheck) const;
     void recomputeLayout(UpdateTiming& t);
     void recomputeMeasure(UpdateTiming& t);
     void renderAndShip(UpdateTiming& t, bool fullClientUpdate, bool markersOnly,
                        EdgeDelta edgeDelta);
+    /// Layout, measure and a full-edge-list render of the current graph
+    /// (the first frame, and refresh after its network update).
+    void redraw(UpdateTiming& t);
     /// Judges the pending speculation against the real event that just ran
     /// its network update (diffs must match exactly); on a hit installs the
     /// precomputed scores into the engine's exact cache and adopts the
@@ -325,12 +346,10 @@ private:
     wire::Bytes wireRefineFrame_;
     bool deltaMode_ = false;
     DegradeLevel degradeLevel_ = DegradeLevel::None;
-    // Speculative precompute: prediction model fed by the slider events,
-    // the pending side-slot result, and a dedicated layout workspace so
-    // speculation never perturbs the live rho/octree cache.
+    // Speculative precompute: prediction model fed by the slider events
+    // and the pending side-slot result.
     Predictor predictor_;
     Speculation spec_;
-    MaxentWorkspace specLayoutWorkspace_;
     // LOD mapping cache, keyed on the graph version like the measure and
     // rho caches (rebuilt only when a keyframe fires on a moved graph).
     LodMapping lodMapping_;

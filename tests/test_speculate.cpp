@@ -7,9 +7,12 @@
 // work), and the cancellation races scripts/verify.sh --speculate runs
 // under -fsanitize=thread.
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -306,6 +309,63 @@ TEST(WidgetSpeculation, MeasureSwitchAfterSpeculationStillAdoptsGraphAndLayout) 
     // The speculated Closeness scores must NOT have been promoted into
     // the Betweenness results: both widgets agree on the recomputed ones.
     expectTwinsAgree(spec, plain);
+}
+
+TEST(WidgetSpeculation, RandomWalkAdoptionStaysBitIdentical) {
+    // Frame and cutoff reversals and jumps: predictions miss and hit in
+    // turn, and two predicted graphs built from different bases can share
+    // a version number. A speculative solve that reused rho across them
+    // would adopt a layout of the wrong edge set. Seed 10 on this
+    // 100-residue bundle hits that case within its first 100 events.
+    // The twins share one team size either way; one OpenMP thread keeps the
+    // walk short under TSan, where libgomp's uninstrumented barriers turn
+    // every parallel sweep into slow race reports.
+    struct OneThread {
+        const int before = omp_get_max_threads();
+        OneThread() { omp_set_num_threads(1); }
+        ~OneThread() { omp_set_num_threads(before); }
+    } oneThread;
+    md::TrajectoryGenerator::Parameters params;
+    params.frames = 8;
+    const auto traj = md::TrajectoryGenerator(params).generate(md::helixBundle(100));
+    RinWidget::Options o;
+    o.wireFormat = viz::WireFormat::Binary;
+    RinWidget spec(traj, o);
+    RinWidget plain(traj, o);
+
+    std::mt19937_64 rng(10);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    rinkit::index frame = 0;
+    double cutoff = o.initialCutoff;
+    count hits = 0;
+    for (int event = 0; event < 100; ++event) {
+        if (spec.predictNext().valid()) spec.speculate(kNeverCancel);
+        const double r = unit(rng);
+        RinWidget::UpdateTiming t;
+        if (r < 0.4) { // frame +-1
+            if (frame == 0) frame = 1;
+            else if (frame + 1 == params.frames) frame = params.frames - 2;
+            else frame = unit(rng) < 0.5 ? frame - 1 : frame + 1;
+            t = spec.setFrame(frame);
+            plain.setFrame(frame);
+        } else { // cutoff +-0.1 (50%) or a jump (10%)
+            if (r < 0.9) cutoff += unit(rng) < 0.5 ? -0.1 : 0.1;
+            else cutoff = 3.5 + 3.5 * unit(rng);
+            cutoff = std::clamp(cutoff, 3.5, 7.0);
+            t = spec.setCutoff(cutoff);
+            plain.setCutoff(cutoff);
+        }
+        if (t.specHit) ++hits;
+        ASSERT_EQ(spec.scores(), plain.scores()) << "event " << event;
+        ASSERT_EQ(spec.maxentLayout().size(), plain.maxentLayout().size());
+        for (count i = 0; i < spec.maxentLayout().size(); ++i) {
+            const Point3& a = spec.maxentLayout()[i];
+            const Point3& b = plain.maxentLayout()[i];
+            ASSERT_TRUE(a.x == b.x && a.y == b.y && a.z == b.z)
+                << "event " << event << ", node " << i;
+        }
+    }
+    EXPECT_GT(hits, 0u); // the walk exercised adoption
 }
 
 // ----------------------------------------------- service spec lifecycle

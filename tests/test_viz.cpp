@@ -3,6 +3,8 @@
 // RinWidget update cycle.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <fstream>
 
 #include "src/core/rin_explorer.hpp"
@@ -316,7 +318,7 @@ TEST(Widget, MeasureCacheHitsOnUnchangedGraphOnly) {
     gen.frames = 4;
     gen.unfoldingEvents = 1;
     const auto traj = md::TrajectoryGenerator(gen).generate(md::villinHeadpiece());
-    RinWidget widget(traj); // refresh() computes the initial Closeness
+    RinWidget widget(traj); // the constructor computes the initial Closeness
 
     // First switch to a new measure: cold, computed.
     const auto tCold = widget.setMeasure(Measure::Betweenness);
@@ -345,6 +347,42 @@ TEST(Widget, MeasureCacheHitsOnUnchangedGraphOnly) {
     const auto tFrame = widget.setFrame(3);
     ASSERT_GT(tFrame.edgeStats.edgesAdded + tFrame.edgeStats.edgesRemoved, 0u);
     EXPECT_FALSE(tFrame.measureCacheHit);
+}
+
+TEST(Widget, RefreshKeepsExactResultsExact) {
+    // The measure cache keys on (&graph, version). A refresh that restarted
+    // the version counter let a later cutoff walk land on the version of a
+    // cached Betweenness entry with a different edge set: here frame 3 at
+    // 4.6010 A, on a graph whose refreshes had reset the counter three times.
+    md::TrajectoryGenerator::Parameters gen;
+    gen.frames = 6;
+    const auto traj = md::TrajectoryGenerator(gen).generate(md::helixBundle(300));
+    // Brandes sums in a team-size-dependent order; one thread makes two
+    // exact runs the same bits.
+    const int threadsBefore = omp_get_max_threads();
+    omp_set_num_threads(1);
+    RinWidgetOptions options;
+    options.wireFormat = WireFormat::Binary;
+    RinWidget widget(traj, options);
+    widget.setMeasure(Measure::Betweenness); // cached at the initial version
+    widget.setMeasure(Measure::Closeness);
+
+    for (index f = 1; f <= 3; ++f) {
+        widget.setFrame(f);
+        const std::uint64_t before = widget.graph().version();
+        const auto t = widget.refresh();
+        EXPECT_GE(widget.graph().version(), before) << "frame " << f;
+        // Nothing moved, so the Closeness entry of this version still holds.
+        EXPECT_TRUE(t.measureCacheHit) << "frame " << f;
+    }
+    widget.setAutoRecompute(false); // the walk only has to move the graph
+    for (int step = 1; step <= 202; ++step) widget.setCutoff(4.5 + 0.0005 * step);
+
+    const auto t = widget.setMeasure(Measure::Betweenness);
+    EXPECT_EQ(t.measureTier, ResolutionTier::Exact);
+    const Graph& g = widget.graph();
+    EXPECT_EQ(widget.scores(), computeMeasure(g, CsrView::fromGraph(g), Measure::Betweenness));
+    omp_set_num_threads(threadsBefore);
 }
 
 TEST(Widget, DeltaModeShowsScoreDifferences) {
